@@ -14,6 +14,8 @@ import re
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import convergence
 from .mesh import (
     MESH_SHISHKIN,
@@ -95,14 +97,17 @@ def format_solution_csv(trajectory: Trajectory, problem: Problem) -> str:
     """Rows ``x,y_numeric,y_exact,abs_error``; exact columns are empty when
     the problem has no closed-form solution."""
     lines = ["x,y_numeric,y_exact,abs_error"]
-    has_exact = problem.exact is not None
-    for x, y in zip(trajectory.mesh.nodes, trajectory.values):
-        if has_exact:
-            y_ref = exact_eval(problem, x)
-            lines.append(
-                f"{_fmt17(x)},{_fmt17(y)},{_fmt17(y_ref)},{_fmt17(abs(y_ref - y))}"
-            )
-        else:
+    nodes, values = trajectory.mesh.nodes, trajectory.values
+    if problem.exact is not None:
+        exact = exact_eval(problem, nodes)
+        with np.errstate(invalid="ignore"):
+            gaps = np.abs(exact - values)
+        for x, y, y_ref, gap in zip(
+            nodes.tolist(), values.tolist(), exact.tolist(), gaps.tolist()
+        ):
+            lines.append(f"{_fmt17(x)},{_fmt17(y)},{_fmt17(y_ref)},{_fmt17(gap)}")
+    else:
+        for x, y in zip(nodes.tolist(), values.tolist()):
             lines.append(f"{_fmt17(x)},{_fmt17(y)},,")
     return "\n".join(lines) + "\n"
 

@@ -161,9 +161,19 @@ def build_from_sigma(n_intervals: int, alpha: float, sigma: float) -> Mesh:
     fine[m] = sigma
     coarse = sigma + h_coarse * np.arange(1, n_intervals - m + 1)
     coarse[-1] = 1.0
+    nodes = np.concatenate([fine, coarse])
+    # Within a piece the nodes are rounded multiples of one positive width,
+    # so they can only repeat if that width is zero or at the three pinned
+    # nodes (sigma, its right neighbour, and 1).
+    pinned = np.array([m - 1, m, n_intervals - 1])
+    if not (h_fine > 0.0 and np.all(nodes[pinned] < nodes[pinned + 1])):
+        raise ValueError(
+            f"sigma = {sigma!r} is too small for {m} fine intervals: "
+            "the mesh nodes would repeat"
+        )
     widths = np.concatenate([np.full(m, h_fine), np.full(n_intervals - m, h_coarse)])
     return Mesh(
-        nodes=np.concatenate([fine, coarse]),
+        nodes=nodes,
         widths=widths,
         kind=MESH_SHISHKIN,
         sigma=sigma,

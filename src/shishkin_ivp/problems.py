@@ -3,6 +3,10 @@
 Right-hand sides are stored already divided by the perturbation parameter
 (eps*y' = g(x, y) is represented as f = g/eps), so steppers never see eps;
 it is kept on the problem only for mesh construction and exact evaluation.
+
+The built-in problems' linear coefficients and exact solutions accept
+numpy arrays as well as floats; their scalar ``rhs`` stays on ``math`` so
+the per-step scalar driver pays no numpy call overhead.
 """
 
 from __future__ import annotations
@@ -10,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 #: Names of the built-in test problems.
 BUILTIN_NAMES = ("decay", "layer1")
@@ -56,13 +62,14 @@ class Problem:
                 )
         if self.linear is not None:
             # Spot-check the advertised linear form at the domain ends.
-            for x in (self.x0, 0.5 * (self.x0 + self.domain_end)):
-                p, q = self.linear[0](x), self.linear[1](x)
-                r = self.rhs(x, self.y0)
-                if abs(r - (p * self.y0 + q)) > 1e-12 * (1.0 + abs(r)):
-                    raise ValueError(
-                        f"linear form p(x)*y + q(x) disagrees with rhs at x={x}"
-                    )
+            with np.errstate(all="ignore"):
+                for x in (self.x0, 0.5 * (self.x0 + self.domain_end)):
+                    p, q = linear_coeffs_eval(self, x)
+                    r = self.rhs(x, self.y0)
+                    if abs(r - (p * self.y0 + q)) > 1e-12 * (1.0 + abs(r)):
+                        raise ValueError(
+                            f"linear form p(x)*y + q(x) disagrees with rhs at x={x}"
+                        )
 
     @property
     def problem_id(self) -> str:
@@ -93,22 +100,22 @@ def make_builtin(name: str, epsilon: float) -> Problem:
             y0=1.0,
             rhs=lambda x, y: -y / epsilon,
             linear=(lambda x: -1.0 / epsilon, lambda x: 0.0),
-            exact=lambda x: math.exp(-x / epsilon),
+            exact=lambda x: np.exp(-x / epsilon),
             label="decay",
         )
     if name == "layer1":
 
-        def q(x: float) -> float:
-            e = math.exp(-x / epsilon)
+        def source(x, exp):
+            e = exp(-x / epsilon)
             return (epsilon + e + x * (x - e + 1.0)) / epsilon
 
         return Problem(
             epsilon=epsilon,
             x0=0.0,
             y0=0.0,
-            rhs=lambda x, y: (-x / epsilon) * y + q(x),
-            linear=(lambda x: -x / epsilon, q),
-            exact=lambda x: x - math.exp(-x / epsilon) + 1.0,
+            rhs=lambda x, y: (-x / epsilon) * y + source(x, math.exp),
+            linear=(lambda x: -x / epsilon, lambda x: source(x, np.exp)),
+            exact=lambda x: x - np.exp(-x / epsilon) + 1.0,
             label="layer1",
         )
     raise ValueError(f"unknown builtin problem {name!r}; known: {BUILTIN_NAMES}")
@@ -127,15 +134,41 @@ def rhs_eval(problem: Problem, x: float, y: float) -> float:
 
 
 def linear_coeffs_eval(problem: Problem, x: float) -> tuple[float, float]:
-    """Evaluate the linear coefficients (p(x), q(x))."""
+    """Evaluate the linear coefficients (p(x), q(x)) as Python floats."""
     if problem.linear is None:
         raise ValueError(f"problem {problem.label!r} carries no linear form")
-    return problem.linear[0](x), problem.linear[1](x)
+    return float(problem.linear[0](x)), float(problem.linear[1](x))
 
 
-def exact_eval(problem: Problem, x: float) -> float:
-    """Evaluate the attached exact solution at x."""
+def array_eval(fn: Callable, x: np.ndarray) -> np.ndarray | None:
+    """``fn`` evaluated on the whole array ``x``, a scalar result broadcast
+    to its shape; ``None`` when ``fn`` does not accept arrays (it raised
+    ``TypeError`` or ``ValueError``, or returned an unbroadcastable shape)."""
+    try:
+        return np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape)
+    except (TypeError, ValueError):
+        return None
+
+
+def exact_eval(problem: Problem, x):
+    """Evaluate the attached exact solution at x, a float or a 1-d array.
+
+    Arrays are evaluated in one call when ``exact`` accepts them and point
+    by point otherwise."""
     if problem.exact is None:
         raise ValueError(f"problem {problem.label!r} carries no exact solution")
-    _check_domain(problem, x)
-    return problem.exact(x)
+    if np.ndim(x) == 0:
+        _check_domain(problem, x)
+        with np.errstate(all="ignore"):
+            return problem.exact(x)
+    x = np.asarray(x, dtype=float)
+    if len(x) and not (
+        problem.x0 - DOMAIN_TOL <= x.min() and x.max() <= problem.domain_end + DOMAIN_TOL
+    ):
+        for value in x.tolist():
+            _check_domain(problem, value)
+    with np.errstate(all="ignore"):
+        values = array_eval(problem.exact, x)
+        if values is None:
+            values = np.array([problem.exact(v) for v in x.tolist()], dtype=float)
+    return values

@@ -75,6 +75,25 @@ class TestMeshCommand:
         assert "eps" in err
 
 
+class TestDegenerateMesh:
+    """eps = 2^-1074 with N = 2^20 would give a zero fine width: a usage
+    error when the mesh is built, never a numerical failure later."""
+
+    ARGS = ["--eps", "2^-1074", "--n-intervals", str(2**20)]
+
+    def test_solve_is_usage_error(self, capsys):
+        code, out, err = run_cli(["solve", "--scheme", "gauss2"] + self.ARGS, capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "repeat" in err
+
+    def test_mesh_is_usage_error(self, capsys):
+        code, out, err = run_cli(["mesh"] + self.ARGS, capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "repeat" in err
+
+
 class TestSolveCommand:
     def test_solution_columns(self, capsys):
         code, out, _ = run_cli(

@@ -169,6 +169,27 @@ class TestBuildFromSigma:
         with pytest.raises(ValueError):
             build_from_sigma(8, 0.5, 0.0)
 
+    def test_subnormal_epsilon_zero_fine_width_rejected(self):
+        """eps = 2^-1074, N = 2^20: sigma / m rounds to a zero width."""
+        with pytest.raises(ValueError, match="repeat"):
+            build_shishkin_mesh(params(n=2**20, eps=2.0**-1074))
+
+    def test_repeated_node_at_sigma_rejected(self):
+        """sigma = 14 subnormal units over 8 intervals rounds the width up
+        to 2 units, so the eighth fine node lands on sigma itself."""
+        with pytest.raises(ValueError, match="repeat"):
+            build_from_sigma(16, 0.5, 14 * 2.0**-1074)
+
+    @pytest.mark.parametrize("units", range(1, 80))
+    def test_subnormal_sigma_built_or_rejected(self, units):
+        """Every mesh that is built has strictly increasing nodes."""
+        try:
+            mesh = build_from_sigma(16, 0.5, units * 2.0**-1074)
+        except ValueError:
+            return
+        assert np.all(np.diff(mesh.nodes) > 0.0)
+        assert validate_mesh(mesh) == []
+
 
 class TestUniformMesh:
     def test_canonical(self):
