@@ -10,6 +10,7 @@ and 2-decimal orders.  Exit codes: 0 success, 1 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from dataclasses import dataclass
@@ -83,33 +84,190 @@ def _fmt17(x: float) -> str:
     return f"{x:.17g}"
 
 
+#: Rows per block of the CSV writer: enough to amortise the numpy calls,
+#: few enough to keep the block's temporaries in cache.
+CSV_BLOCK = 16384
+
+#: Longest '%.17g' text of a double, as in -1.2345678901234567e-308.
+_CELL_WIDTH = 24
+
+#: The column formatter handles |x| in this range itself, where every
+#: intermediate of its double-double product stays normal and finite.
+_FAST_RANGE = (1e-270, 1e270)
+
+#: A value whose digits beyond the 17th lie this close to one half is left
+#: to ``_fmt17``: the double-double product is good to ~1e-14 of the 17th
+#: digit, so every value outside the margin rounds the same either way.
+_TIE_MARGIN = 1e-6
+
+
+@functools.cache
+def _digit_quads() -> np.ndarray:
+    """The four ASCII digits of each of 0000..9999, packed into a uint32."""
+    quads = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    return (48 + quads).astype(np.uint8).view(np.uint32).ravel()
+
+
+@functools.cache
+def _pow10_pair(k: int) -> tuple[float, float]:
+    """10**k as the unevaluated sum hi + lo of two doubles (106 bits)."""
+    num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+    hi = num / den  # int / int is correctly rounded
+    a, b = hi.as_integer_ratio()
+    return hi, (num * b - a * den) / (den * b)
+
+
+def _pow10_pairs(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_pow10_pair`` per element of k, built for the decades present."""
+    decades, index = np.unique(k, return_inverse=True)
+    hi, lo = np.array([_pow10_pair(e) for e in decades.tolist()]).T
+    return hi[index], lo[index]
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split of a into two 26-bit halves with a = high + low."""
+    c = 134217729.0 * a  # 2**27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+def _digits17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(ok, exponent, digits)`` with |x| = digits * 10**(exponent - 16)
+    rounded to 17 significant digits, wherever ``ok``.
+
+    The digits come from the double-double product |x| * 10**(16 - E), E
+    estimated by log10.  Not ok: 0, non-finite and subnormal values,
+    anything outside ``_FAST_RANGE``, remainders within ``_TIE_MARGIN`` of
+    one half, and digits outside [10**16, 10**17), which is how a wrong
+    decade estimate, or rounding up into the next decade, shows."""
+    mag = np.abs(x)
+    ok = (mag >= _FAST_RANGE[0]) & (mag <= _FAST_RANGE[1])
+    mag[~ok] = 1.0
+    exponent = np.floor(np.log10(mag)).astype(np.int64)
+    hi, lo = _pow10_pairs(16 - exponent)
+    head = mag * hi
+    m1, m2 = _split(mag)
+    h1, h2 = _split(hi)
+    tail = (((m1 * h1 - head) + m1 * h2) + m2 * h1) + m2 * h2 + mag * lo
+    total = head + tail  # an integer: it is at least 2**53 where ok
+    tail -= total - head
+    whole = np.floor(tail)
+    frac = tail - whole
+    digits = total.astype(np.int64) + whole.astype(np.int64)
+    ok &= (digits >= 10**16) & (np.abs(frac - 0.5) > _TIE_MARGIN)
+    digits += frac > 0.5
+    ok &= digits < 10**17
+    digits[~ok] = 10**16
+    return ok, exponent, digits
+
+
+def _ascii17(digits: np.ndarray) -> np.ndarray:
+    """The ASCII text of 17-digit integers, in bytes 3..19 of each row of
+    an (n, 5) uint32 matrix."""
+    words = np.empty((len(digits), 5), np.uint32)
+    upper = digits // 10**8
+    lead = upper // 10**8
+    halves = (upper - lead * 10**8, digits - upper * 10**8)
+    for col, half in enumerate(halves):
+        high = half // 10**4
+        words[:, 2 * col + 1] = _digit_quads()[high]
+        words[:, 2 * col + 2] = _digit_quads()[half - high * 10**4]
+    words.view(np.uint8)[:, 3] = 48 + lead
+    return words
+
+
+def _digit_runs(text: str, n_digits: int) -> list[list[int]]:
+    """Where the n_digits significant digits of a '%.17g' text sit, as
+    ``[offset in text, offset in digits, length]`` runs."""
+    mantissa = text.partition("e")[0]
+    first = next(i for i, c in enumerate(mantissa) if c in "123456789")
+    slots = [i for i in range(first, len(mantissa)) if mantissa[i].isdigit()]
+    runs: list[list[int]] = []
+    for j, i in enumerate(slots[:n_digits]):
+        if runs and runs[-1][0] + runs[-1][2] == i:
+            runs[-1][2] += 1
+        else:
+            runs.append([i, j, 1])
+    return runs
+
+
+def _format17_cells(values: np.ndarray, out: np.ndarray) -> None:
+    """Write ``format(x, '.17g')`` of each value, zero-padded to
+    ``_CELL_WIDTH`` bytes, into the elements of ``out``, a 1-d array of
+    that many bytes per element.
+
+    Values sharing sign, decimal exponent and significant-digit count
+    share a layout, taken from Python's own text of one of them; the
+    others get their digits copied in.  Values ``_digits17`` cannot
+    decide are formatted one by one with ``_fmt17``."""
+    x = np.asarray(values, dtype=float)
+    ok, exponent, digits = _digits17(x)
+    words = _ascii17(digits)
+    text = words.view(np.uint8)[:, 3:]
+    n_digits = 17 - np.argmax(text[:, ::-1] != ord("0"), axis=1)
+    key = ((exponent + 300) * 18 + n_digits) * 2 + np.signbit(x)
+    key[~ok] = -1
+    key = key.astype(np.int16)
+    # Sort rows by layout, so each layout fills one contiguous slice.
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    text = words.view("V20")[order].view(np.uint8)[:, 3:]
+    cells = np.zeros((len(x), _CELL_WIDTH), np.uint8)
+    starts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()]
+    for start, stop in zip(starts, starts[1:] + [len(x)]):
+        if key[start] < 0:
+            for row, value in enumerate(x[order[start:stop]].tolist(), start):
+                fallback = _fmt17(value).encode()
+                cells[row, : len(fallback)] = list(fallback)
+            continue
+        layout = _fmt17(x[order[start]].item())
+        cells[start:stop, : len(layout)] = np.frombuffer(layout.encode(), np.uint8)
+        for col, first, length in _digit_runs(layout, key[start] // 2 % 18):
+            cells[start:stop, col : col + length] = text[start:stop, first : first + length]
+    out[order] = cells.view(out.dtype)[:, 0]
+
+
+def _csv_text(header: str, columns: list[np.ndarray], n_rows: int) -> str:
+    """The header line, then ``n_rows`` rows of the columns' values as
+    ``format(x, '.17g')``; a column shorter than ``n_rows`` leaves its
+    last cells empty.  Written column by column, a block of rows at a
+    time, with every number byte-identical to ``_fmt17``."""
+    chunks = [header.encode() + b"\n"]
+    for start in range(0, n_rows, CSV_BLOCK):
+        block = np.zeros((min(CSV_BLOCK, n_rows - start), len(columns), _CELL_WIDTH + 1), np.uint8)
+        block[:, :, -1] = ord(",")
+        block[:, -1, -1] = ord("\n")
+        # Each cell's bytes as one element, so rows move as single copies.
+        cells = block[..., :-1].view(f"V{_CELL_WIDTH}")[..., 0]
+        for j, column in enumerate(columns):
+            values = column[start : start + CSV_BLOCK]
+            if len(values):
+                _format17_cells(values, cells[: len(values), j])
+        flat = block.reshape(-1)
+        chunks.append(flat[flat != 0].tobytes())
+    return b"".join(chunks).decode("ascii")
+
+
 def format_mesh_csv(mesh: Mesh) -> str:
     """Rows ``i,xi,x,h`` with the width column empty on the last row."""
     n = mesh.n_intervals
-    lines = ["i,xi,x,h"]
-    for i, x in enumerate(mesh.nodes):
-        h = _fmt17(mesh.widths[i]) if i < n else ""
-        lines.append(f"{i},{_fmt17(i / n)},{_fmt17(x)},{h}")
-    return "\n".join(lines) + "\n"
+    index = np.arange(n + 1, dtype=float)  # '%.17g' prints these as str(i)
+    return _csv_text("i,xi,x,h", [index, index / n, mesh.nodes, mesh.widths], n + 1)
 
 
 def format_solution_csv(trajectory: Trajectory, problem: Problem) -> str:
     """Rows ``x,y_numeric,y_exact,abs_error``; exact columns are empty when
     the problem has no closed-form solution."""
-    lines = ["x,y_numeric,y_exact,abs_error"]
     nodes, values = trajectory.mesh.nodes, trajectory.values
-    if problem.exact is not None:
+    if problem.exact is None:
+        exact = gaps = np.empty(0)
+    else:
         exact = exact_eval(problem, nodes)
         with np.errstate(invalid="ignore"):
             gaps = np.abs(exact - values)
-        for x, y, y_ref, gap in zip(
-            nodes.tolist(), values.tolist(), exact.tolist(), gaps.tolist()
-        ):
-            lines.append(f"{_fmt17(x)},{_fmt17(y)},{_fmt17(y_ref)},{_fmt17(gap)}")
-    else:
-        for x, y in zip(nodes.tolist(), values.tolist()):
-            lines.append(f"{_fmt17(x)},{_fmt17(y)},,")
-    return "\n".join(lines) + "\n"
+    return _csv_text(
+        "x,y_numeric,y_exact,abs_error", [nodes, values, exact, gaps], len(nodes)
+    )
 
 
 def format_sweep_csv(table: convergence.ConvergenceTable) -> str:
@@ -326,8 +484,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(config.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {config.out!r}: {exc.strerror}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -40,7 +40,7 @@ class ShishkinParams:
         Mesh grading order n (typically the convergence order of the
         intended scheme), integer >= 1.
     layer_constant:
-        Positive constant b scaling the layer width estimate.
+        Finite positive constant b scaling the layer width estimate.
     split:
         Fraction alpha of intervals placed inside the layer, in (0, 1).
         alpha * N must be integral.
@@ -61,9 +61,9 @@ class ShishkinParams:
             raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon}")
         if self.method_order < 1:
             raise ValueError(f"method_order must be >= 1, got {self.method_order}")
-        if not self.layer_constant > 0.0:
+        if not (math.isfinite(self.layer_constant) and self.layer_constant > 0.0):
             raise ValueError(
-                f"layer_constant must be positive, got {self.layer_constant}"
+                f"layer_constant must be finite and positive, got {self.layer_constant}"
             )
         if not 0.0 < self.split < 1.0:
             raise ValueError(f"split must be in (0, 1), got {self.split}")

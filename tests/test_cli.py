@@ -223,6 +223,34 @@ class TestOutputHandling:
         assert out == ""
         assert target.read_text().startswith("i,xi,x,h\n")
 
+    def test_out_in_missing_directory_is_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "mesh.csv"
+        code, out, err = run_cli(
+            ["mesh", "--mesh", "uniform", "--n-intervals", "4", "--out", str(target)],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: cannot write")
+        assert not target.exists()
+
+    def test_out_naming_a_directory_is_usage_error(self, tmp_path, capsys):
+        code, out, err = run_cli(
+            ["mesh", "--mesh", "uniform", "--n-intervals", "4", "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: cannot write")
+
+    def test_infinite_layer_constant_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            ["mesh", "--n-intervals", "8", "--eps", "2^-4", "--mesh-b", "inf"], capsys
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "layer_constant" in err
+
     def test_usage_error_on_bad_eps(self, capsys):
         code, _, err = run_cli(
             ["mesh", "--n-intervals", "8", "--eps", "2**-4"], capsys

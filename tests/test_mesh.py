@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shishkin_ivp import (
     Mesh,
@@ -13,6 +15,7 @@ from shishkin_ivp import (
     transition_point,
     validate_mesh,
 )
+from shishkin_ivp.mesh import WIDTH_CONSISTENCY_ATOL
 
 
 def params(n=2**10, eps=2.0**-10, order=2, b=1.0, alpha=0.5):
@@ -67,6 +70,13 @@ class TestTransitionPoint:
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(ValueError):
             params(**kwargs)
+
+    @pytest.mark.parametrize("b", [float("inf"), float("nan")])
+    def test_layer_constant_must_be_finite(self, b):
+        """An infinite b would give sigma = 0 and fail later with a
+        message about sigma; it is rejected here, by name."""
+        with pytest.raises(ValueError, match="layer_constant must be finite"):
+            params(b=b)
 
 
 class TestGeneratingFunction:
@@ -240,3 +250,33 @@ class TestValidateMesh:
         mesh = build_uniform_mesh(4)
         with pytest.raises(ValueError):
             mesh.nodes[0] = 0.5
+
+
+@st.composite
+def shishkin_inputs(draw):
+    """Any even N in [4, 2^14], eps in [2^-1074, 1] (subnormals included),
+    grading n in 1..4, b in (0, 8] and an alpha with alpha * N integral."""
+    n = 2 * draw(st.integers(2, 2**13))
+    return dict(
+        n=n,
+        eps=draw(st.floats(2.0**-1074, 1.0)),
+        order=draw(st.integers(1, 4)),
+        b=draw(st.floats(0.0, 8.0, exclude_min=True)),
+        alpha=draw(st.integers(1, n - 1)) / n,
+    )
+
+
+class TestMeshInvariantProperty:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(shishkin_inputs())
+    def test_built_or_rejected(self, kwargs):
+        """Every input either raises ValueError or gives a valid mesh."""
+        try:
+            mesh = build_shishkin_mesh(params(**kwargs))
+        except ValueError:
+            return
+        assert np.all(np.diff(mesh.nodes) > 0.0)
+        assert np.all(mesh.widths > 0.0)
+        assert mesh.nodes[0] == 0.0
+        assert mesh.nodes[-1] == 1.0
+        assert abs(np.sum(mesh.widths) - 1.0) <= WIDTH_CONSISTENCY_ATOL
