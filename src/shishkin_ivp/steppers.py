@@ -12,12 +12,20 @@ sec. IV.3).  ``integrate`` computes D and S with numpy, block by block,
 and runs the recurrence as a float loop whenever it can show that the
 scalar driver would give the same values up to rounding; otherwise the
 scalar driver, the oracle, runs the whole mesh.
+
+For explicit schemes the scalar driver is ``explicit_rk_step``'s arithmetic
+with its checks hoisted out of the loop: numpy checks each block of
+intervals, the stages run straight-line, and any step the driver cannot
+vouch for is handed to ``explicit_rk_step`` itself, so the values, and
+every error, are the per-step function's bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -43,9 +51,6 @@ KERNEL_BLOCK = 4096
 #: far enough from overflow that the scalar driver's intermediates, which
 #: differ by rounding, stay finite too.
 KERNEL_HEADROOM = 2.0**1000
-
-GAUSS2 = "gauss2"
-
 
 class StageEvaluationError(ArithmeticError):
     """A stage evaluation produced a non-finite value."""
@@ -89,7 +94,7 @@ def explicit_rk_step(
             f"step from x={x_i} with h={h_i} leaves the domain "
             f"[{problem.x0}, {problem.domain_end}]"
         )
-    a, b, c = tableau._a_rows, tableau._b_list, tableau._c_list
+    a, b, c = tableau.a.tolist(), tableau.b.tolist(), tableau.c.tolist()
     k = [0.0] * tableau.stages
     for j in range(tableau.stages):
         acc = 0.0
@@ -169,14 +174,15 @@ def _stage_coefficients(problem: Problem, x: np.ndarray):
     return p, q
 
 
-def _explicit_coefficients(tableau: ButcherTableau, problem: Problem, x, h):
-    """Block coefficients (see _affine_integrate) of an explicit tableau,
-    by forward substitution of the stage slopes k_j = alpha_j*y + beta_j."""
+def _explicit_coefficients(coefficients, problem: Problem, x, h):
+    """Block coefficients (see _affine_integrate) of an explicit tableau
+    given as lists (a, b, c), by forward substitution of the stage slopes
+    k_j = alpha_j*y + beta_j."""
     if not (h.min() > 0.0 and (x + h).max() <= problem.domain_end + DOMAIN_TOL):
         return None
-    a, b, c = tableau._a_rows, tableau._b_list, tableau._c_list
+    a, b, c = coefficients
     alphas, betas, ps, qs = [], [], [], []
-    for j in range(tableau.stages):
+    for j in range(len(b)):
         found = _stage_coefficients(problem, x + c[j] * h)
         if found is None:
             return None
@@ -233,12 +239,13 @@ def _affine_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
     n = len(widths)
     values = np.empty(n + 1)
     y = values[0] = float(problem.y0)
+    coefficients = tableau.a.tolist(), tableau.b.tolist(), tableau.c.tolist()
     with np.errstate(all="ignore"):
         for lo in range(0, n, KERNEL_BLOCK):
             hi = min(lo + KERNEL_BLOCK, n)
             x, h = nodes[lo:hi], widths[lo:hi]
             if tableau.explicit:
-                found = _explicit_coefficients(tableau, problem, x, h)
+                found = _explicit_coefficients(coefficients, problem, x, h)
             else:
                 found = _gauss2_coefficients(problem, x, h)
             if found is None:
@@ -260,13 +267,17 @@ def _affine_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
     return values
 
 
-def _scalar_integrate(scheme: str, problem: Problem, mesh: Mesh) -> np.ndarray:
-    """Node values from the scalar step functions, one step per interval."""
-    if scheme == GAUSS2:
-        step = lambda x, y, h: gauss2_linear_step(problem, x, y, h)
-    else:
-        tableau = named_tableau(scheme)
-        step = lambda x, y, h: explicit_rk_step(tableau, problem, x, y, h)
+def _numbered(i: int, step, *args):
+    """``step(*args)`` as the step of interval i: a blow-up is re-raised
+    as ``step i failed: ...``, with the same class."""
+    try:
+        return step(*args)
+    except (StageEvaluationError, SingularStepError) as exc:
+        raise type(exc)(f"step {i} failed: {exc}") from exc
+
+
+def _gauss2_scalar_integrate(problem: Problem, mesh: Mesh) -> np.ndarray:
+    """Node values from ``gauss2_linear_step``, one step per interval."""
     x_list = mesh.nodes.tolist()
     h_list = mesh.widths.tolist()
     values = np.empty(len(x_list))
@@ -276,11 +287,111 @@ def _scalar_integrate(scheme: str, problem: Problem, mesh: Mesh) -> np.ndarray:
     # as a warning.
     with np.errstate(all="ignore"):
         for i, h in enumerate(h_list):
-            try:
-                y = step(x_list[i], y, h)
-            except (StageEvaluationError, SingularStepError) as exc:
-                raise type(exc)(f"step {i} failed: {exc}") from exc
+            y = _numbered(i, gauss2_linear_step, problem, x_list[i], y, h)
             values[i + 1] = y
+    return values
+
+
+# The straight-line steps: explicit_rk_step's arithmetic in its operation
+# order (acc and update start at 0.0, so a -0.0 sum becomes +0.0; h is
+# finite, so the first stage's y + h*0.0 is y + 0.0), for steps the caller
+# has checked.  Each runs the rows (h, x_1, ..., x_s) of widths and stage
+# abscissae, appends every result to ``out`` and returns the last y.  It
+# stops before a step whose rhs raises or whose result is not finite,
+# which it is whenever a stage slope is (b_j*k_j is inf or nan, 0*inf
+# included); explicit_rk_step then redoes that step.
+
+
+def _two_stage_steps(f, a, b, y, rows, out):
+    a21 = a[1][0]
+    b1, b2 = b
+    isfinite = math.isfinite
+    try:
+        for h, x1, x2 in rows:
+            k1 = f(x1, y + 0.0)
+            k2 = f(x2, y + h * (0.0 + a21 * k1))
+            y_next = y + h * (0.0 + b1 * k1 + b2 * k2)
+            if not isfinite(y_next):
+                break
+            out.append(y_next)
+            y = y_next
+    except Exception:  # re-raised by explicit_rk_step on hand-off
+        pass
+    return y
+
+
+def _three_stage_steps(f, a, b, y, rows, out):
+    a21 = a[1][0]
+    a31, a32 = a[2][:2]
+    b1, b2, b3 = b
+    isfinite = math.isfinite
+    try:
+        for h, x1, x2, x3 in rows:
+            k1 = f(x1, y + 0.0)
+            k2 = f(x2, y + h * (0.0 + a21 * k1))
+            k3 = f(x3, y + h * (0.0 + a31 * k1 + a32 * k2))
+            y_next = y + h * (0.0 + b1 * k1 + b2 * k2 + b3 * k3)
+            if not isfinite(y_next):
+                break
+            out.append(y_next)
+            y = y_next
+    except Exception:  # re-raised by explicit_rk_step on hand-off
+        pass
+    return y
+
+
+def _no_steps(f, a, b, y, rows, out):
+    return y
+
+
+_STRAIGHT_LINE_STEPS = {2: _two_stage_steps, 3: _three_stage_steps}
+
+
+def _explicit_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
+    """Node values of an explicit scheme, bit for bit those of one
+    ``explicit_rk_step`` per interval.
+
+    Per block of intervals, numpy makes the checks explicit_rk_step makes
+    per step: h > 0, x + h and every stage abscissa x + c_j*h inside the
+    domain.  Steps that pass run straight-line; a step that fails them, or
+    that the straight-line loop stops at, goes to explicit_rk_step, and
+    the loop resumes after it.  Other stage counts hand over every step.
+    """
+    steps = _STRAIGHT_LINE_STEPS.get(tableau.stages, _no_steps)
+    a, b, c = tableau.a.tolist(), tableau.b.tolist(), tableau.c.tolist()
+    f = problem.rhs
+    x_lo, x_hi = problem.x0 - DOMAIN_TOL, problem.domain_end + DOMAIN_TOL
+    nodes, widths = mesh.nodes, mesh.widths
+    n = len(widths)
+    values = np.empty(n + 1)
+    y = values[0] = float(problem.y0)
+
+    def hand_off(i, y):
+        x_i, h_i = float(nodes[i]), float(widths[i])
+        return _numbered(i, explicit_rk_step, tableau, problem, x_i, y, h_i)
+
+    with np.errstate(all="ignore"):
+        for lo in range(0, n, KERNEL_BLOCK):
+            hi = min(lo + KERNEL_BLOCK, n)
+            x, h = nodes[lo:hi], widths[lo:hi]
+            stage_x = [x + c_j * h for c_j in c]
+            vouched = (h > 0.0) & (x + h <= x_hi)
+            for x_j in stage_x:
+                vouched &= (x_lo <= x_j) & (x_j <= x_hi)
+            columns = [h.tolist()] + [x_j.tolist() for x_j in stage_x]
+            m = hi - lo
+            # A straight-line run ends at the next step that failed the
+            # checks, or earlier; that step is handed over.
+            stops = np.flatnonzero(~vouched).tolist() + [m]
+            block = []
+            while len(block) < m:
+                end = stops[bisect_left(stops, len(block))]
+                rows = islice(zip(*columns), len(block), end)
+                y = steps(f, a, b, y, rows, block)
+                if len(block) < m:
+                    y = hand_off(lo + len(block), y)
+                    block.append(y)
+            values[lo + 1 : hi + 1] = block
     return values
 
 
@@ -294,9 +405,12 @@ def integrate(scheme: str, problem: Problem, mesh: Mesh) -> Trajectory:
     Gauss stage system is nonsingular, and every step is non-expansive,
     |1 + D_i| <= 1, so rounding differences cannot grow.  Its values then
     differ from the scalar driver's by a few ulps per step.  Otherwise the
-    scalar driver runs: explicit schemes through ``explicit_rk_step``,
-    ``gauss2`` through ``gauss2_linear_step`` (so it requires a linear
-    problem), and blow-ups raise with the failing ``step N``.
+    scalar driver runs, with values and errors exactly those of one step
+    function call per interval: ``explicit_rk_step`` for explicit schemes
+    (a step that fails, or whose result is not finite, is redone by that
+    function, which calls ``rhs`` again), ``gauss2_linear_step`` for
+    ``gauss2`` (so it requires a linear problem).  Blow-ups raise with the
+    failing ``step N``.
     """
     nodes = mesh.nodes
     if (
@@ -312,7 +426,10 @@ def integrate(scheme: str, problem: Problem, mesh: Mesh) -> Trajectory:
     if problem.linear is not None:
         values = _affine_integrate(tableau, problem, mesh)
     if values is None:
-        values = _scalar_integrate(scheme, problem, mesh)
+        if tableau.explicit:
+            values = _explicit_integrate(tableau, problem, mesh)
+        else:
+            values = _gauss2_scalar_integrate(problem, mesh)
     return Trajectory(
         mesh=mesh,
         values=values,

@@ -66,10 +66,6 @@ class ButcherTableau:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
-        # Native-float copies keep the step loops off numpy scalars.
-        object.__setattr__(self, "_a_rows", tuple(tuple(r) for r in a.tolist()))
-        object.__setattr__(self, "_b_list", tuple(b.tolist()))
-        object.__setattr__(self, "_c_list", tuple(c.tolist()))
         if check:
             if abs(float(np.sum(b)) - 1.0) > TABLEAU_TOL:
                 raise ValueError(f"weights must sum to 1, got {np.sum(b)!r}")

@@ -1,20 +1,24 @@
-"""Differential tests of the affine-step kernel in ``integrate`` against a
-scalar oracle written here over the public step functions.
+"""Differential tests of ``integrate`` against a scalar oracle written
+here over the public step functions.
 
-Where the kernel runs, its values may differ from the oracle's by
-rounding only: |y_i - oracle_i| <= C * N * 2^-52 * max(1, max|oracle|)
-with C = ULP_FACTOR = 4 (the largest ratio seen over 60,000 random
-configurations with N <= 2^5 was 1.75, and it falls with N).  Every
-run the kernel must not take (a blow-up, an expansive step, a singular
-Gauss system, coefficients that reject arrays) must reproduce the oracle
-bit for bit, exception class and ``step N`` message included.
+Where the affine-step kernel runs, its values may differ from the
+oracle's by rounding only: |y_i - oracle_i| <= C * N * 2^-52 *
+max(1, max|oracle|) with C = ULP_FACTOR = 4 (the largest ratio seen over
+60,000 random configurations with N <= 2^5 was 1.75, and it falls with
+N).  Every run the kernel must not take (a nonlinear problem, a blow-up,
+an expansive step, a singular Gauss system, coefficients that reject
+arrays) goes through the scalar driver and must reproduce the oracle bit
+for bit, exception class and ``step N`` message included; a run that
+ends with finite values must also pass ``rhs`` the same arguments, in the
+same order.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shishkin_ivp import (
@@ -36,6 +40,8 @@ from shishkin_ivp import (
     max_error,
     named_tableau,
 )
+from shishkin_ivp.steppers import KERNEL_BLOCK
+from shishkin_ivp.tableaux import EXPLICIT_SCHEMES
 
 ULP_FACTOR = 4.0
 
@@ -303,3 +309,180 @@ class TestMaxError:
         values = np.exp(-mesh.nodes) + 1e-3 * mesh.nodes
         trajectory = Trajectory(mesh=mesh, values=values, scheme_id="s", problem_id="p")
         assert max_error(trajectory, problem) == pytest.approx(1e-3, rel=1e-9)
+
+
+def check_bit_identical(scheme, problem, mesh):
+    """Assert that integrate is the oracle bit for bit: the same values,
+    from the same rhs arguments when every value is finite (a step with a
+    non-finite result is redone by the oracle), or the same exception
+    class and message.  Return how the run ended."""
+    calls = []
+
+    def rhs(x, y):
+        calls.append((x, y))
+        return problem.rhs(x, y)
+
+    counted = dataclasses.replace(problem, rhs=rhs)
+    calls.clear()
+    try:
+        expected = oracle(scheme, counted, mesh)
+    except Exception as exc:
+        with pytest.raises(Exception) as raised:
+            integrate(scheme, counted, mesh)
+        assert type(raised.value) is type(exc)
+        assert str(raised.value) == str(exc)
+        return "raised"
+    expected_calls = np.array(calls)
+    calls.clear()
+    got = integrate(scheme, counted, mesh).values
+    assert got.tobytes() == expected.tobytes()
+    if np.isfinite(expected).all():
+        assert np.array(calls).tobytes() == expected_calls.tobytes()
+    return "identical"
+
+
+def logistic(eps, y0=0.5):
+    """eps*y' = y^2 - y with no linear form; it blows up from y0 > 1."""
+    return Problem(
+        epsilon=eps,
+        x0=0.0,
+        y0=y0,
+        rhs=lambda x, y: (y * y - y) / eps,
+        label="logistic",
+    )
+
+
+def custom(rhs, y0=1.0):
+    return Problem(epsilon=1.0, x0=0.0, y0=y0, rhs=rhs, label="custom")
+
+
+class TestScalarDriver:
+    """The explicit scalar driver against one explicit_rk_step per
+    interval, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["shishkin", "uniform"])
+    @pytest.mark.parametrize("scheme", EXPLICIT_SCHEMES)
+    def test_logistic_matrix(self, scheme, kind):
+        """N = 2^13 spans two kernel blocks; eps = 2^-20 on the uniform
+        mesh blows up."""
+        assert 2**13 > KERNEL_BLOCK
+        outcomes = set()
+        for eps in (1.0, 2.0**-4, 2.0**-8, 2.0**-20):
+            for n in (2**4, 2**9, 2**13):
+                outcomes.add(check_bit_identical(scheme, logistic(eps), mesh_for(kind, n, eps)))
+        assert "identical" in outcomes
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        scheme=st.sampled_from(EXPLICIT_SCHEMES),
+        kind=st.sampled_from(["shishkin", "uniform"]),
+        log2_eps=st.floats(min_value=-30.0, max_value=0.0),
+        k=st.integers(min_value=2, max_value=13),
+        y0=st.floats(min_value=-2.0, max_value=2.0),
+    )
+    def test_logistic_property(self, scheme, kind, log2_eps, k, y0):
+        eps = 2.0**log2_eps
+        check_bit_identical(scheme, logistic(eps, y0), mesh_for(kind, 2**k, eps))
+
+    @pytest.mark.parametrize("scheme", EXPLICIT_SCHEMES)
+    def test_gate_rejected_linear_runs(self, scheme):
+        """Expansive runs that finish and runs that blow up leave the
+        kernel; the scalar driver then matches the oracle exactly."""
+        expansive = make_builtin("decay", 2.0**-4), build_uniform_mesh(4)
+        assert amplification(scheme, *expansive) > 1.0
+        assert check_bit_identical(scheme, *expansive) == "identical"
+        blowup = make_builtin("layer1", 2.0**-30), build_uniform_mesh(64)
+        assert check_bit_identical(scheme, *blowup) == "raised"
+        for eps, n in ((2.0**-12, 2**10), (2.0**-14, 2**12)):
+            problem = make_builtin("layer1", eps)
+            mesh = mesh_for("shishkin", n, eps)
+            check_bit_identical(scheme, problem, mesh)
+
+    @pytest.mark.parametrize("scheme", EXPLICIT_SCHEMES)
+    def test_negative_zero_keeps_its_sign(self, scheme):
+        """From y0 = -0.0 the oracle's sums, which start at +0.0, turn
+        every stage value and result into +0.0; a stage slope of -0.0
+        must not leak a -0.0 through."""
+        problem = custom(lambda x, y: -0.0 * y - 0.0, y0=-0.0)
+        assert check_bit_identical(scheme, problem, build_uniform_mesh(8)) == "identical"
+        values = integrate(scheme, problem, build_uniform_mesh(8)).values
+        assert [math.copysign(1.0, v) for v in values] == [-1.0] + [1.0] * 8
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda: math.nan,
+            lambda: math.inf,
+            lambda: (_ for _ in ()).throw(OverflowError("math range error")),
+        ],
+        ids=["nan", "inf", "overflow"],
+    )
+    @pytest.mark.parametrize("scheme", EXPLICIT_SCHEMES)
+    def test_failing_rhs_at_a_chosen_step(self, scheme, bad):
+        """rhs fails from the second stage of step 5 on (in the second
+        kernel block): StageEvaluationError, with the oracle's message."""
+        mesh = build_uniform_mesh(KERNEL_BLOCK + 16)
+        c2 = named_tableau(scheme).c[1]
+        i = KERNEL_BLOCK + 5
+        x_bad = mesh.nodes[i] + c2 * mesh.widths[i]
+        problem = custom(lambda x, y: bad() if x >= x_bad else -y)
+        assert check_bit_identical(scheme, problem, mesh) == "raised"
+        with pytest.raises(StageEvaluationError, match=f"^step {i} failed: stage 2 "):
+            integrate(scheme, problem, mesh)
+
+    @pytest.mark.parametrize("scheme", EXPLICIT_SCHEMES)
+    def test_other_exceptions_propagate_unchanged(self, scheme):
+        def rhs(x, y):
+            if x > 0.5:
+                raise ZeroDivisionError("custom division")
+            return -y
+
+        problem = custom(rhs)
+        assert check_bit_identical(scheme, problem, build_uniform_mesh(64)) == "raised"
+        with pytest.raises(ZeroDivisionError, match="^custom division$"):
+            integrate(scheme, problem, build_uniform_mesh(64))
+
+    def test_overflow_only_in_the_result(self):
+        """heun on y' = y from 1.15e308 with h = 1/2: the stage values
+        y and 1.5y are finite, but y + h*update = 1.625y overflows.  The
+        oracle returns inf from that step and fails at the next one, whose
+        first slope is inf."""
+        problem = custom(lambda x, y: y, y0=1.15e308)
+        tableau = named_tableau("heun")
+        assert explicit_rk_step(tableau, problem, 0.0, 1.15e308, 0.5) == math.inf
+        one_step = dataclasses.replace(problem, domain_end=0.5), build_uniform_mesh(1, (0.0, 0.5))
+        assert check_bit_identical("heun", *one_step) == "identical"
+        calls = []
+        counted = dataclasses.replace(one_step[0], rhs=lambda x, y: calls.append(x) or y)
+        assert integrate("heun", counted, one_step[1]).values[-1] == math.inf
+        assert calls == [0.0, 0.5] * 2
+        assert check_bit_identical("heun", problem, build_uniform_mesh(2)) == "raised"
+        with pytest.raises(StageEvaluationError, match="^step 1 failed: stage 1 "):
+            integrate("heun", problem, build_uniform_mesh(2))
+
+
+#: |R(z)| <= 1 on [-bound, 0] of the real axis: 2 for the two-stage
+#: schemes, the real root of 1 + z + z^2/2 + z^3/6 = -1 for the
+#: three-stage ones; gauss2 is A-stable, and 2 only sets its z scale.
+REAL_AXIS_BOUND = {2: 2.0, 3: 2.5127453266183286}
+
+
+@pytest.mark.parametrize("scheme", SCHEME_NAMES)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(fraction=st.floats(min_value=1.0 / 8.0, max_value=4.0))
+@example(fraction=0.9)
+@example(fraction=1.1)
+def test_first_step_is_the_stability_function(scheme, fraction):
+    """On eps*y' = -y from y = 1, one step is R(z) = 1 + z b^T (I - zA)^-1 1
+    with z = -h/eps, within 4 ulps of max(1, |z|)^s.  Below the real-axis
+    bound (fraction < 1) the kernel runs; above it the explicit schemes
+    are expansive and the scalar driver runs."""
+    tableau = named_tableau(scheme)
+    mesh = build_uniform_mesh(16)
+    h = float(mesh.widths[0])
+    eps = h / (fraction * REAL_AXIS_BOUND.get(tableau.stages, 2.0))
+    z = -h / eps
+    ones = np.ones(tableau.stages)
+    r = 1.0 + z * tableau.b @ np.linalg.solve(np.eye(tableau.stages) - z * tableau.a, ones)
+    got = integrate(scheme, make_builtin("decay", eps), mesh).values[1]
+    assert abs(got - r) <= 4.0 * 2.0**-52 * max(1.0, abs(z)) ** tableau.stages
