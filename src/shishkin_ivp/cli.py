@@ -13,19 +13,11 @@ import argparse
 import functools
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import convergence
-from .mesh import (
-    MESH_SHISHKIN,
-    MESH_UNIFORM,
-    Mesh,
-    ShishkinParams,
-    build_shishkin_mesh,
-    build_uniform_mesh,
-)
+from .mesh import MESH_SHISHKIN, MESH_UNIFORM, Mesh
 from .problems import BUILTIN_NAMES, Problem, exact_eval, make_builtin
 from .steppers import Trajectory, integrate
 from .tableaux import SCHEME_NAMES
@@ -33,6 +25,12 @@ from .tableaux import SCHEME_NAMES
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_USAGE = 2
+
+#: Largest mesh the CLI builds, 2^MAX_LOG2_INTERVALS intervals; larger
+#: --n-intervals or --kmax values are usage errors, rejected before any
+#: array is allocated.
+MAX_LOG2_INTERVALS = 22
+MAX_INTERVALS = 2**MAX_LOG2_INTERVALS
 
 _POWER_FORM = re.compile(r"^2\^([+-]?\d+(?:\.\d+)?)$")
 
@@ -58,26 +56,6 @@ def parse_epsilon(text: str) -> float:
     if not 0.0 < value <= 1.0:
         raise UsageError(f"epsilon must be in (0, 1], got {text!r} = {value!r}")
     return value
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A fully validated CLI invocation."""
-
-    command: str
-    problem: str = "layer1"
-    scheme: str = "heun"
-    mesh_kind: str = MESH_SHISHKIN
-    n_intervals: int | None = None
-    k_min: int | None = None
-    k_max: int | None = None
-    epsilons: tuple[float, ...] = ()
-    eps_labels: tuple[str, ...] = ()
-    method_order: int = 2
-    layer_constant: float = 1.0
-    split: float = 0.5
-    fmt: str = "csv"
-    out: str | None = None
 
 
 def _fmt17(x: float) -> str:
@@ -316,81 +294,60 @@ def format_stability_line(
     )
 
 
-def _build_mesh(config: RunConfig, epsilon: float | None) -> Mesh:
-    if config.n_intervals is None:
-        raise UsageError("--n-intervals is required for this command")
-    if config.mesh_kind == MESH_UNIFORM:
-        return build_uniform_mesh(config.n_intervals)
-    if epsilon is None:
-        raise UsageError("--eps is required for a shishkin mesh")
-    return build_shishkin_mesh(
-        ShishkinParams(
-            n_intervals=config.n_intervals,
-            epsilon=epsilon,
-            method_order=config.method_order,
-            layer_constant=config.layer_constant,
-            split=config.split,
-        )
-    )
+def run(args: argparse.Namespace) -> str:
+    """Execute a parsed command line and return the output text."""
+    labels = tuple(part.strip() for part in args.eps.split(",")) if args.eps else ()
+    epsilons = tuple(parse_epsilon(part) for part in labels)
 
-
-def _single_epsilon(config: RunConfig) -> float | None:
-    if not config.epsilons:
-        return None
-    if len(config.epsilons) > 1:
-        raise UsageError("this command takes a single --eps value")
-    return config.epsilons[0]
-
-
-def run(config: RunConfig) -> str:
-    """Execute a validated config and return the output text."""
-    if config.command == "mesh":
-        return format_mesh_csv(_build_mesh(config, _single_epsilon(config)))
-
-    if config.command == "solve":
-        eps = _single_epsilon(config)
-        if eps is None:
-            raise UsageError("--eps is required for solve")
-        problem = make_builtin(config.problem, eps)
-        mesh = _build_mesh(config, eps)
-        return format_solution_csv(integrate(config.scheme, problem, mesh), problem)
-
-    if config.command == "sweep":
-        if not config.epsilons:
+    if args.command == "sweep":
+        if not epsilons:
             raise UsageError("--eps is required for sweep")
-        if config.k_min is None or config.k_max is None:
-            raise UsageError("--kmin and --kmax are required for sweep")
+        if args.kmax > MAX_LOG2_INTERVALS:
+            raise UsageError(
+                f"--kmax must be at most {MAX_LOG2_INTERVALS}, got {args.kmax}"
+            )
         table = convergence.run_sweep(
-            config.scheme,
-            config.problem,
-            config.epsilons,
-            config.k_min,
-            config.k_max,
-            mesh_kind=config.mesh_kind,
-            method_order=config.method_order,
-            layer_constant=config.layer_constant,
-            split=config.split,
+            args.scheme,
+            args.problem,
+            epsilons,
+            args.kmin,
+            args.kmax,
+            mesh_kind=args.mesh,
+            method_order=args.mesh_order,
+            layer_constant=args.mesh_b,
+            split=args.alpha,
         )
-        if config.fmt == "md":
-            return format_sweep_markdown(table, config.eps_labels)
+        if args.format == "md":
+            return format_sweep_markdown(table, labels)
         return format_sweep_csv(table)
 
-    if config.command == "stability":
-        eps = _single_epsilon(config)
-        if eps is None:
-            raise UsageError("--eps is required for stability")
-        problem = make_builtin(config.problem, eps)
-        mesh = _build_mesh(config, eps)
-        trajectory = integrate(config.scheme, problem, mesh)
-        return format_stability_line(
-            config.scheme,
-            eps,
-            mesh.n_intervals,
-            convergence.oscillation_count(trajectory),
-            convergence.max_error(trajectory, problem),
+    if len(epsilons) > 1:
+        raise UsageError("this command takes a single --eps value")
+    eps = epsilons[0] if epsilons else None
+    if eps is None and args.command != "mesh":
+        raise UsageError(f"--eps is required for {args.command}")
+    if eps is None and args.mesh == MESH_SHISHKIN:
+        raise UsageError("--eps is required for a shishkin mesh")
+    if args.n_intervals > MAX_INTERVALS:
+        raise UsageError(
+            f"--n-intervals must be at most {MAX_INTERVALS}, got {args.n_intervals}"
         )
-
-    raise UsageError(f"unknown command {config.command!r}")
+    mesh = convergence.build_mesh(
+        args.mesh, args.n_intervals, eps, args.mesh_order, args.mesh_b, args.alpha
+    )
+    if args.command == "mesh":
+        return format_mesh_csv(mesh)
+    problem = make_builtin(args.problem, eps)
+    trajectory = integrate(args.scheme, problem, mesh)
+    if args.command == "solve":
+        return format_solution_csv(trajectory, problem)
+    return format_stability_line(
+        args.scheme,
+        eps,
+        mesh.n_intervals,
+        convergence.oscillation_count(trajectory),
+        convergence.max_error(trajectory, problem),
+    )
 
 
 def _add_common(sub: argparse.ArgumentParser, *, with_scheme: bool = True):
@@ -406,11 +363,14 @@ def _add_common(sub: argparse.ArgumentParser, *, with_scheme: bool = True):
         help="perturbation parameter(s), comma-separated; decimal or 2^-k form",
     )
     sub.add_argument("--mesh-order", type=int, default=2, metavar="N",
-                     help="mesh grading order n (default: 2)")
+                     help="Shishkin mesh grading order n (default: 2); "
+                          "ignored with --mesh uniform")
     sub.add_argument("--mesh-b", type=float, default=1.0, metavar="B",
-                     help="layer constant b (default: 1)")
+                     help="Shishkin layer constant b (default: 1); "
+                          "ignored with --mesh uniform")
     sub.add_argument("--alpha", type=float, default=0.5,
-                     help="node split alpha (default: 0.5)")
+                     help="Shishkin node split alpha (default: 0.5); "
+                          "ignored with --mesh uniform")
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
@@ -447,48 +407,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    labels: tuple[str, ...] = ()
-    epsilons: tuple[float, ...] = ()
-    if args.eps:
-        labels = tuple(part.strip() for part in args.eps.split(","))
-        epsilons = tuple(parse_epsilon(part) for part in labels)
-    return RunConfig(
-        command=args.command,
-        problem=getattr(args, "problem", "layer1"),
-        scheme=getattr(args, "scheme", "heun"),
-        mesh_kind=args.mesh,
-        n_intervals=getattr(args, "n_intervals", None),
-        k_min=getattr(args, "kmin", None),
-        k_max=getattr(args, "kmax", None),
-        epsilons=epsilons,
-        eps_labels=labels,
-        method_order=args.mesh_order,
-        layer_constant=args.mesh_b,
-        split=args.alpha,
-        fmt=getattr(args, "format", "csv"),
-        out=args.out,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
-        text = run(config)
+        text = run(args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    if config.out:
+    if args.out:
         try:
-            with open(config.out, "w", encoding="utf-8") as fh:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"error: cannot write {config.out!r}: {exc.strerror}", file=sys.stderr)
+            print(f"error: cannot write {args.out!r}: {exc.strerror}", file=sys.stderr)
             return EXIT_USAGE
     else:
         sys.stdout.write(text)

@@ -16,11 +16,12 @@ import numpy as np
 from .mesh import (
     MESH_SHISHKIN,
     MESH_UNIFORM,
+    Mesh,
     ShishkinParams,
     build_shishkin_mesh,
     build_uniform_mesh,
 )
-from .problems import BUILTIN_NAMES, Problem, exact_eval, make_builtin
+from .problems import Problem, exact_eval, make_builtin
 from .steppers import KERNEL_BLOCK, Trajectory, integrate
 
 #: Increments at or below this magnitude are treated as roundoff jitter
@@ -74,6 +75,25 @@ def shishkin_order(e_n: float, e_2n: float, k: int) -> float:
     return math.log(e_n / e_2n) / math.log(2.0 * k / (k + 1.0))
 
 
+def build_mesh(
+    mesh_kind: str,
+    n_intervals: int,
+    epsilon: float | None,
+    method_order: int = 2,
+    layer_constant: float = 1.0,
+    split: float = 0.5,
+) -> Mesh:
+    """A uniform mesh, or the Shishkin mesh for epsilon; the grading
+    parameters and epsilon apply to Shishkin meshes only."""
+    if mesh_kind == MESH_UNIFORM:
+        return build_uniform_mesh(n_intervals)
+    if mesh_kind != MESH_SHISHKIN:
+        raise ValueError(f"unknown mesh kind {mesh_kind!r}")
+    return build_shishkin_mesh(
+        ShishkinParams(n_intervals, epsilon, method_order, layer_constant, split)
+    )
+
+
 def run_sweep(
     scheme: str,
     problem_name: str,
@@ -91,33 +111,16 @@ def run_sweep(
         raise ValueError("epsilons must be nonempty")
     if not 2 <= k_min < k_max:
         raise ValueError(f"need 2 <= k_min < k_max, got {k_min}, {k_max}")
-    if problem_name not in BUILTIN_NAMES:
-        raise ValueError(
-            f"unknown problem {problem_name!r}; known: {BUILTIN_NAMES}"
-        )
-    if mesh_kind not in (MESH_UNIFORM, MESH_SHISHKIN):
-        raise ValueError(f"unknown mesh kind {mesh_kind!r}")
-
     epsilons = tuple(epsilons)
     k_range = tuple(range(k_min, k_max + 1))
     errors: dict[tuple[float, int], float] = {}
     for eps in epsilons:
         problem = make_builtin(problem_name, eps)
         for k in k_range:
-            n = 2**k
             try:
-                if mesh_kind == MESH_SHISHKIN:
-                    mesh = build_shishkin_mesh(
-                        ShishkinParams(
-                            n_intervals=n,
-                            epsilon=eps,
-                            method_order=method_order,
-                            layer_constant=layer_constant,
-                            split=split,
-                        )
-                    )
-                else:
-                    mesh = build_uniform_mesh(n)
+                mesh = build_mesh(
+                    mesh_kind, 2**k, eps, method_order, layer_constant, split
+                )
                 trajectory = integrate(scheme, problem, mesh)
                 errors[(eps, k)] = max_error(trajectory, problem)
             except (ValueError, ArithmeticError) as exc:

@@ -50,6 +50,11 @@ class Problem:
     def __post_init__(self):
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon}")
+        if not all(map(math.isfinite, (self.x0, self.y0, self.domain_end))):
+            raise ValueError(
+                "x0, y0 and domain_end must be finite, got "
+                f"{self.x0}, {self.y0}, {self.domain_end}"
+            )
         if not self.domain_end > self.x0:
             raise ValueError(
                 f"domain_end must exceed x0, got [{self.x0}, {self.domain_end}]"
@@ -76,8 +81,15 @@ class Problem:
         return f"{self.label}(eps={self.epsilon:.17g})"
 
 
+def domain_bounds(problem: Problem) -> tuple[float, float]:
+    """The domain [x0, domain_end] widened by ``DOMAIN_TOL`` at each end:
+    the abscissae at which the problem may be evaluated."""
+    return problem.x0 - DOMAIN_TOL, problem.domain_end + DOMAIN_TOL
+
+
 def _check_domain(problem: Problem, x: float):
-    if not problem.x0 - DOMAIN_TOL <= x <= problem.domain_end + DOMAIN_TOL:
+    lo, hi = domain_bounds(problem)
+    if not lo <= x <= hi:
         raise ValueError(
             f"x = {x!r} outside problem domain "
             f"[{problem.x0}, {problem.domain_end}]"
@@ -91,8 +103,6 @@ def make_builtin(name: str, epsilon: float) -> Problem:
     layer1: eps*y' = -x*y + eps + exp(-x/eps) + x*(x - exp(-x/eps) + 1),
             y(0) = 0, exact solution x - exp(-x/eps) + 1.
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
     if name == "decay":
         return Problem(
             epsilon=epsilon,
@@ -162,9 +172,8 @@ def exact_eval(problem: Problem, x):
         with np.errstate(all="ignore"):
             return problem.exact(x)
     x = np.asarray(x, dtype=float)
-    if len(x) and not (
-        problem.x0 - DOMAIN_TOL <= x.min() and x.max() <= problem.domain_end + DOMAIN_TOL
-    ):
+    lo, hi = domain_bounds(problem)
+    if len(x) and not (lo <= x.min() and x.max() <= hi):
         for value in x.tolist():
             _check_domain(problem, value)
     with np.errstate(all="ignore"):

@@ -35,6 +35,7 @@ from .problems import (
     EvaluationError,
     Problem,
     array_eval,
+    domain_bounds,
     linear_coeffs_eval,
     rhs_eval,
 )
@@ -81,7 +82,8 @@ def explicit_rk_step(
     tableau: ButcherTableau, problem: Problem, x_i: float, y_i: float, h_i: float
 ) -> float:
     """One explicit step: k_j = f(x + c_j h, y + h * sum_{q<j} a_jq k_q),
-    then y + h * sum_j b_j k_j.  Stages are evaluated in ascending order."""
+    then y + h * sum_j b_j k_j.  Stages are evaluated in ascending order;
+    a non-finite stage slope or result raises StageEvaluationError."""
     if not tableau.explicit:
         raise ValueError(
             f"tableau {tableau.name or '<anonymous>'!r} is implicit; "
@@ -89,7 +91,7 @@ def explicit_rk_step(
         )
     if not h_i > 0.0:
         raise ValueError(f"step size must be positive, got {h_i}")
-    if x_i + h_i > problem.domain_end + DOMAIN_TOL:
+    if x_i + h_i > domain_bounds(problem)[1]:
         raise ValueError(
             f"step from x={x_i} with h={h_i} leaves the domain "
             f"[{problem.x0}, {problem.domain_end}]"
@@ -109,7 +111,12 @@ def explicit_rk_step(
     update = 0.0
     for j in range(tableau.stages):
         update += b[j] * k[j]
-    return y_i + h_i * update
+    result = y_i + h_i * update
+    if not math.isfinite(result):
+        raise StageEvaluationError(
+            f"non-finite step result at x={x_i!r}, h={h_i!r}"
+        )
+    return result
 
 
 def _gauss2_determinant(p1, p2, h):
@@ -160,33 +167,32 @@ def gauss2_linear_step(
     return result
 
 
-def _stage_coefficients(problem: Problem, x: np.ndarray):
-    """p and q at the abscissae x, or None when x leaves the domain or
-    the coefficient functions do not take arrays."""
-    if not (
-        problem.x0 - DOMAIN_TOL <= x.min() and x.max() <= problem.domain_end + DOMAIN_TOL
-    ):
-        return None
-    p_fn, q_fn = problem.linear
-    p, q = array_eval(p_fn, x), array_eval(q_fn, x)
-    if p is None or q is None:
-        return None
-    return p, q
+def _explicit_checks(problem: Problem, c, x, h):
+    """The stage abscissae x + c_j*h of a block of intervals, and per
+    interval whether it passes the checks explicit_rk_step and rhs_eval
+    make per step: h > 0, and x + h and every stage abscissa inside the
+    domain."""
+    lo, hi = domain_bounds(problem)
+    stage_x = [x + c_j * h for c_j in c]
+    passed = (h > 0.0) & (x + h <= hi)
+    for x_j in stage_x:
+        passed &= (lo <= x_j) & (x_j <= hi)
+    return stage_x, passed
 
 
 def _explicit_coefficients(coefficients, problem: Problem, x, h):
     """Block coefficients (see _affine_integrate) of an explicit tableau
     given as lists (a, b, c), by forward substitution of the stage slopes
     k_j = alpha_j*y + beta_j."""
-    if not (h.min() > 0.0 and (x + h).max() <= problem.domain_end + DOMAIN_TOL):
-        return None
     a, b, c = coefficients
+    stage_x, passed = _explicit_checks(problem, c, x, h)
+    if not passed.all():
+        return None
     alphas, betas, ps, qs = [], [], [], []
-    for j in range(len(b)):
-        found = _stage_coefficients(problem, x + c[j] * h)
-        if found is None:
+    for j, x_j in enumerate(stage_x):
+        p, q = (array_eval(fn, x_j) for fn in problem.linear)
+        if p is None or q is None:
             return None
-        p, q = found
         # Stage value y + h * sum_k a_jk k_k = (1 + h*acc_a)*y + h*acc_b.
         acc_a = acc_b = 0.0
         for k in range(j):
@@ -207,13 +213,14 @@ def _gauss2_coefficients(problem: Problem, x, h):
     step, from the batched 2x2 stage solve by Cramer's rule; its
     determinant is gauss2_linear_step's, bit for bit."""
     g = GAUSS2_GAMMA
-    if not h.min() >= 0.0:
+    lo, hi = domain_bounds(problem)
+    stage_x = x + (0.5 - g) * h, x + (0.5 + g) * h
+    inside = all(lo <= x_j.min() and x_j.max() <= hi for x_j in stage_x)
+    if not (h.min() >= 0.0 and inside):
         return None
-    stage1 = _stage_coefficients(problem, x + (0.5 - g) * h)
-    stage2 = _stage_coefficients(problem, x + (0.5 + g) * h)
-    if stage1 is None or stage2 is None:
+    p1, q1, p2, q2 = (array_eval(fn, x_j) for x_j in stage_x for fn in problem.linear)
+    if any(v is None for v in (p1, q1, p2, q2)):
         return None
-    (p1, q1), (p2, q2) = stage1, stage2
     denom = _gauss2_determinant(p1, p2, h)
     if not np.abs(denom).min() > SINGULAR_DENOMINATOR_TOL:
         return None
@@ -340,27 +347,19 @@ def _three_stage_steps(f, a, b, y, rows, out):
     return y
 
 
-def _no_steps(f, a, b, y, rows, out):
-    return y
-
-
-_STRAIGHT_LINE_STEPS = {2: _two_stage_steps, 3: _three_stage_steps}
-
-
 def _explicit_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
     """Node values of an explicit scheme, bit for bit those of one
     ``explicit_rk_step`` per interval.
 
     Per block of intervals, numpy makes the checks explicit_rk_step makes
-    per step: h > 0, x + h and every stage abscissa x + c_j*h inside the
-    domain.  Steps that pass run straight-line; a step that fails them, or
-    that the straight-line loop stops at, goes to explicit_rk_step, and
-    the loop resumes after it.  Other stage counts hand over every step.
+    per step (_explicit_checks).  Steps that pass run straight-line; a
+    step that fails them, or that the straight-line loop stops at, goes to
+    explicit_rk_step, and the loop resumes after it.  The named explicit
+    tableaux have two or three stages.
     """
-    steps = _STRAIGHT_LINE_STEPS.get(tableau.stages, _no_steps)
+    steps = _two_stage_steps if tableau.stages == 2 else _three_stage_steps
     a, b, c = tableau.a.tolist(), tableau.b.tolist(), tableau.c.tolist()
     f = problem.rhs
-    x_lo, x_hi = problem.x0 - DOMAIN_TOL, problem.domain_end + DOMAIN_TOL
     nodes, widths = mesh.nodes, mesh.widths
     n = len(widths)
     values = np.empty(n + 1)
@@ -373,12 +372,8 @@ def _explicit_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
     with np.errstate(all="ignore"):
         for lo in range(0, n, KERNEL_BLOCK):
             hi = min(lo + KERNEL_BLOCK, n)
-            x, h = nodes[lo:hi], widths[lo:hi]
-            stage_x = [x + c_j * h for c_j in c]
-            vouched = (h > 0.0) & (x + h <= x_hi)
-            for x_j in stage_x:
-                vouched &= (x_lo <= x_j) & (x_j <= x_hi)
-            columns = [h.tolist()] + [x_j.tolist() for x_j in stage_x]
+            stage_x, vouched = _explicit_checks(problem, c, nodes[lo:hi], widths[lo:hi])
+            columns = [widths[lo:hi].tolist()] + [x_j.tolist() for x_j in stage_x]
             m = hi - lo
             # A straight-line run ends at the next step that failed the
             # checks, or earlier; that step is handed over.

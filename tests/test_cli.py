@@ -1,9 +1,11 @@
 """Tests for the command-line interface: parsing, formats, exit codes."""
 
 import csv
+import importlib.util
 import io
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,19 @@ from shishkin_ivp import (
     ShishkinParams,
 )
 from shishkin_ivp.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main, parse_epsilon
+
+
+def _perfbench_golden():
+    """The benchmark's golden-file module, loaded from its path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "golden.py"
+    spec = importlib.util.spec_from_file_location("perfbench_golden", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+golden = _perfbench_golden()
+CLI_GOLDENS = golden.load("cli_solve")
 
 
 def run_cli(args, capsys):
@@ -69,6 +84,11 @@ class TestMeshCommand:
             assert float(row["x"]) == node  # 17 significant digits round-trip
             assert float(row["xi"]) == xi / 8
 
+    def test_shishkin_options_ignored_on_uniform_mesh(self, capsys):
+        args = ["mesh", "--mesh", "uniform", "--n-intervals", "4"]
+        plain = run_cli(args, capsys)
+        assert run_cli(args + ["--alpha", "7", "--mesh-order", "-3"], capsys) == plain
+
     def test_shishkin_requires_eps(self, capsys):
         code, _, err = run_cli(["mesh", "--n-intervals", "8"], capsys)
         assert code == EXIT_USAGE
@@ -92,6 +112,25 @@ class TestDegenerateMesh:
         assert code == EXIT_USAGE
         assert out == ""
         assert "repeat" in err
+
+
+class TestSizeCap:
+    """Meshes above MAX_INTERVALS are usage errors, raised before any
+    array is allocated."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["mesh", "--mesh", "uniform", "--n-intervals", str(2**40)],
+            ["solve", "--n-intervals", str(2**40), "--eps", "0.5"],
+            ["sweep", "--eps", "0.5", "--kmin", "38", "--kmax", "40"],
+        ],
+    )
+    def test_too_large_is_usage_error(self, args, capsys):
+        code, out, err = run_cli(args, capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: --") and "must be at most" in err
 
 
 class TestSolveCommand:
@@ -267,3 +306,12 @@ class TestOutputHandling:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "i,xi,x,h"
+
+
+@pytest.mark.parametrize("key", list(CLI_GOLDENS))
+def test_matches_benchmark_golden(key, capsys):
+    """Each benchmark CLI invocation, run in-process, agrees with its
+    golden summary at the benchmark's tolerance."""
+    code, out, err = run_cli(key.split(), capsys)
+    assert err == ""
+    assert golden.check_cli((code, out.encode()), CLI_GOLDENS[key]) is None

@@ -39,6 +39,12 @@ class TestMakeBuiltin:
         with pytest.raises(ValueError):
             make_builtin("decay", eps)
 
+    @pytest.mark.parametrize("name", ["decay", "layer1"])
+    @pytest.mark.parametrize("eps", [0.0, math.nan, 1.5])
+    def test_epsilon_domain_message(self, name, eps):
+        with pytest.raises(ValueError, match=r"^epsilon must be in \(0, 1\], got "):
+            make_builtin(name, eps)
+
 
 class TestRhsEval:
     def test_decay_unit_epsilon(self):
@@ -127,6 +133,16 @@ class TestProblemValidation:
                 rhs=lambda x, y: -y,
                 exact=lambda x: math.exp(-x),
             )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("x0", math.nan), ("x0", -math.inf), ("y0", math.nan), ("y0", math.inf),
+         ("y0", -math.inf), ("domain_end", math.inf), ("domain_end", math.nan)],
+    )
+    def test_endpoints_and_initial_value_must_be_finite(self, field, value):
+        fields = {"epsilon": 1.0, "x0": 0.0, "y0": 0.0, "rhs": lambda x, y: 0.0}
+        with pytest.raises(ValueError, match="x0, y0 and domain_end must be finite"):
+            Problem(**{**fields, field: value})
 
     def test_domain_must_be_nonempty(self):
         with pytest.raises(ValueError, match="domain_end"):
