@@ -9,9 +9,10 @@ On a linear problem y' = p(x)*y + q(x) every step of every tableau is
 affine in y, y_{i+1} = y_i + (D_i*y_i + S_i): the variable-coefficient
 form of R(z) = 1 + z b^T (I - zA)^{-1} 1 (Hairer & Wanner, Solving ODEs II,
 sec. IV.3).  ``integrate`` computes D and S with numpy, block by block,
-and runs the recurrence as a float loop whenever it can show that the
-scalar driver would give the same values up to rounding; otherwise the
-scalar driver, the oracle, runs the whole mesh.
+and runs the recurrence as a two-level scan (rows of C intervals, C
+chosen from the mesh size by ``scan_width``) whenever it can show that
+the scalar driver would give the same values up to rounding; otherwise
+the scalar driver, the oracle, runs the whole mesh.
 
 For explicit schemes the scalar driver is ``explicit_rk_step``'s arithmetic
 with its checks hoisted out of the loop: numpy checks each block of
@@ -78,6 +79,17 @@ class Trajectory:
         object.__setattr__(self, "values", values)
 
 
+def _check_step_domain(problem: Problem, x_i: float, h_i: float):
+    """Raise ValueError unless the step [x_i, x_i + h_i] lies inside the
+    problem's domain."""
+    lo, hi = domain_bounds(problem)
+    if not (lo <= x_i and x_i + h_i <= hi):
+        raise ValueError(
+            f"step from x={x_i} with h={h_i} leaves the domain "
+            f"[{problem.x0}, {problem.domain_end}]"
+        )
+
+
 def explicit_rk_step(
     tableau: ButcherTableau, problem: Problem, x_i: float, y_i: float, h_i: float
 ) -> float:
@@ -91,11 +103,7 @@ def explicit_rk_step(
         )
     if not h_i > 0.0:
         raise ValueError(f"step size must be positive, got {h_i}")
-    if x_i + h_i > domain_bounds(problem)[1]:
-        raise ValueError(
-            f"step from x={x_i} with h={h_i} leaves the domain "
-            f"[{problem.x0}, {problem.domain_end}]"
-        )
+    _check_step_domain(problem, x_i, h_i)
     a, b, c = tableau.a.tolist(), tableau.b.tolist(), tableau.c.tolist()
     k = [0.0] * tableau.stages
     for j in range(tableau.stages):
@@ -147,6 +155,7 @@ def gauss2_linear_step(
         )
     if h_i < 0.0:
         raise ValueError(f"step size must be nonnegative, got {h_i}")
+    _check_step_domain(problem, x_i, h_i)
     g = GAUSS2_GAMMA
     p1, q1 = linear_coeffs_eval(problem, x_i + (0.5 - g) * h_i)
     p2, q2 = linear_coeffs_eval(problem, x_i + (0.5 + g) * h_i)
@@ -183,43 +192,48 @@ def _explicit_checks(problem: Problem, c, x, h):
 def _explicit_coefficients(coefficients, problem: Problem, x, h):
     """Block coefficients (see _affine_integrate) of an explicit tableau
     given as lists (a, b, c), by forward substitution of the stage slopes
-    k_j = alpha_j*y + beta_j."""
+    k_j = alpha_j*y + beta_j.  D comes from p alone and is tested before
+    q is evaluated."""
     a, b, c = coefficients
     stage_x, passed = _explicit_checks(problem, c, x, h)
     if not passed.all():
         return None
-    alphas, betas, ps, qs = [], [], [], []
-    for j, x_j in enumerate(stage_x):
-        p, q = (array_eval(fn, x_j) for fn in problem.linear)
-        if p is None or q is None:
-            return None
-        # Stage value y + h * sum_k a_jk k_k = (1 + h*acc_a)*y + h*acc_b.
-        acc_a = acc_b = 0.0
-        for k in range(j):
-            if a[j][k]:
-                acc_a = acc_a + a[j][k] * alphas[k]
-                acc_b = acc_b + a[j][k] * betas[k]
+    p_fn, q_fn = problem.linear
+    ps = [array_eval(p_fn, x_j) for x_j in stage_x]
+    if any(p is None for p in ps):
+        return None
+    # Stage value y + h * sum_k a_jk k_k = (1 + h*acc_a)*y + h*acc_b.
+    alphas, betas = [], []
+    for j, p in enumerate(ps):
+        acc_a = sum(a[j][k] * alphas[k] for k in range(j) if a[j][k])
         alphas.append(p * (1.0 + h * acc_a))
+    d = h * sum(b_j * alpha for b_j, alpha in zip(b, alphas))
+    if not np.abs(1.0 + d).max() <= 1.0:
+        return None
+    qs = [array_eval(q_fn, x_j) for x_j in stage_x]
+    if any(q is None for q in qs):
+        return None
+    for j, (p, q) in enumerate(zip(ps, qs)):
+        acc_b = sum(a[j][k] * betas[k] for k in range(j) if a[j][k])
         betas.append(p * (h * acc_b) + q)
-        ps.append(p)
-        qs.append(q)
-    d = sum(b_j * alpha for b_j, alpha in zip(b, alphas))
-    s = sum(b_j * beta for b_j, beta in zip(b, betas))
-    return h * d, h * s, alphas + ps, betas + qs
+    s = h * sum(b_j * beta for b_j, beta in zip(b, betas))
+    return d, s, alphas + ps, betas + qs
 
 
 def _gauss2_coefficients(problem: Problem, x, h):
     """Block coefficients (see _affine_integrate) of the two-stage Gauss
     step, from the batched 2x2 stage solve by Cramer's rule; its
-    determinant is gauss2_linear_step's, bit for bit."""
+    determinant is gauss2_linear_step's, bit for bit.  D is tested before
+    q is evaluated."""
     g = GAUSS2_GAMMA
     lo, hi = domain_bounds(problem)
     stage_x = x + (0.5 - g) * h, x + (0.5 + g) * h
     inside = all(lo <= x_j.min() and x_j.max() <= hi for x_j in stage_x)
     if not (h.min() >= 0.0 and inside):
         return None
-    p1, q1, p2, q2 = (array_eval(fn, x_j) for x_j in stage_x for fn in problem.linear)
-    if any(v is None for v in (p1, q1, p2, q2)):
+    p_fn, q_fn = problem.linear
+    p1, p2 = (array_eval(p_fn, x_j) for x_j in stage_x)
+    if p1 is None or p2 is None:
         return None
     denom = _gauss2_determinant(p1, p2, h)
     if not np.abs(denom).min() > SINGULAR_DENOMINATOR_TOL:
@@ -227,10 +241,70 @@ def _gauss2_coefficients(problem: Problem, x, h):
     f1 = 1.0 - p1 * g * h
     f2 = 1.0 + p2 * g * h
     alphas = [p1 * f2, p2 * f1]
-    betas = [q1 * f2, q2 * f1]
     d = 0.5 * h * (alphas[0] + alphas[1]) / denom
+    if not np.abs(1.0 + d).max() <= 1.0:
+        return None
+    q1, q2 = (array_eval(q_fn, x_j) for x_j in stage_x)
+    if q1 is None or q2 is None:
+        return None
+    betas = [q1 * f2, q2 * f1]
     s = 0.5 * h * (betas[0] + betas[1]) / denom
     return d, s, alphas + [p1, p2], betas + [q1, q2]
+
+
+#: Meshes with fewer intervals run the step recurrence as a plain loop
+#: (row width 1): below it, the loop beat every wider row in a
+#: microbenchmark.
+SCAN_MIN_INTERVALS = 2**10
+
+
+def scan_width(n: int) -> int:
+    """Row width C of the two-level scan over n intervals: 1 below
+    SCAN_MIN_INTERVALS, else the largest power of two at most sqrt(n)/4
+    (8 at n = 2^10, 64 at n = 2^16 and 2^17), capped at KERNEL_BLOCK so
+    that every block starts a row.  That balances the scan's ~9C numpy
+    calls against its n/C scalar steps; a microbenchmark put the best C
+    at 8 (n = 2^10) to 64 (n = 2^17)."""
+    if n < SCAN_MIN_INTERVALS:
+        return 1
+    return min(1 << (n.bit_length() - 1) // 2 - 2, KERNEL_BLOCK)
+
+
+def _scan(d, s, values):
+    """y <- y + (d*y + s) from values[0], over rows of C consecutive
+    intervals: d[j, r] and s[j, r] (shape (C, rows)) belong to interval
+    r*C + j, whose result goes to values[1 + r*C + j].
+
+    A two-level scan (Blelloch, CMU-CS-90-190; Martin & Cundy,
+    arXiv:1709.04057) in increment form: (d1, s1) then (d2, s2) compose
+    to ((d1 + d2) + d2*d1, (s1 + s2) + d2*s1), which keeps s = -d exact.
+    Pass 1 composes each row's map, a column at a time across all rows;
+    pass 2 carries the row ends with a scalar loop; pass 3 reruns the
+    other columns from the row starts.  With C = 1 only pass 2 runs."""
+    width, rows = d.shape
+    row_d, row_s = d[0], s[0]
+    if width > 1:
+        row_d, row_s, t = row_d.copy(), row_s.copy(), np.empty(rows)
+        for d_j, s_j in zip(d[1:], s[1:]):
+            np.multiply(d_j, row_d, out=t)
+            row_d += d_j
+            row_d += t
+            np.multiply(d_j, row_s, out=t)
+            row_s += s_j
+            row_s += t
+    y = float(values[0])
+    ends = []
+    append = ends.append
+    for d_r, s_r in zip(row_d.tolist(), row_s.tolist()):
+        y = y + (d_r * y + s_r)
+        append(y)
+    stop = width * rows
+    values[width::width] = ends
+    for j in range(width - 1):
+        prev = values[j : j + stop : width]
+        np.multiply(d[j], prev, out=t)
+        t += s[j]
+        np.add(prev, t, out=values[j + 1 : j + 1 + stop : width])
 
 
 def _affine_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
@@ -240,13 +314,19 @@ def _affine_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
     Per block of intervals the coefficient functions return None (gate
     failed) or (D, S, alphas, betas): the step y + (D*y + S), and the
     affine forms alpha*y + beta of the intermediates the scalar step
-    computes from y, which must stay far from overflow.
+    computes from y, which must stay far from overflow.  D and S go
+    straight into the scan's rows (see _scan; the last row is padded with
+    identity steps), and the headroom test runs on the scan's values.
     """
     nodes, widths = mesh.nodes, mesh.widths
     n = len(widths)
-    values = np.empty(n + 1)
-    y = values[0] = float(problem.y0)
+    width = scan_width(n)
+    rows = -(-n // width)
+    d_rows, s_rows = np.empty((2, width, rows))
+    values = np.empty(1 + width * rows)
+    values[0] = float(problem.y0)
     coefficients = tableau.a.tolist(), tableau.b.tolist(), tableau.c.tolist()
+    bounds = []
     with np.errstate(all="ignore"):
         for lo in range(0, n, KERNEL_BLOCK):
             hi = min(lo + KERNEL_BLOCK, n)
@@ -258,20 +338,21 @@ def _affine_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
             if found is None:
                 return None
             d, s, alphas, betas = found
-            if not np.abs(1.0 + d).max() <= 1.0:
-                return None
-            block = []
-            append = block.append
-            for d_i, s_i in zip(d.tolist(), s.tolist()):
-                y = y + (d_i * y + s_i)
-                append(y)
-            values[lo + 1 : hi + 1] = block
-            y_max = np.abs(values[lo : hi + 1]).max()
+            row, (full, tail) = lo // width, divmod(hi - lo, width)
+            for grid, block in (d_rows, d), (s_rows, s):
+                grid[:, row : row + full] = block[: full * width].reshape(full, width).T
+                if tail:
+                    grid[:tail, -1] = block[full * width :]
+                    grid[tail:, -1] = 0.0
             a_max = max(np.abs(alpha).max() for alpha in alphas)
             b_max = max(np.abs(beta).max() for beta in betas)
+            bounds.append((lo, hi, a_max, b_max))
+        _scan(d_rows, s_rows, values)
+        for lo, hi, a_max, b_max in bounds:
+            y_max = np.abs(values[lo : hi + 1]).max()
             if not y_max * a_max + b_max <= KERNEL_HEADROOM:
                 return None
-    return values
+    return values[: n + 1]
 
 
 def _numbered(i: int, step, *args):
@@ -398,8 +479,11 @@ def integrate(scheme: str, problem: Problem, mesh: Mesh) -> Trajectory:
     accept arrays (scalar results are broadcast), every width, abscissa,
     coefficient and stage slope is finite and inside the domain, every
     Gauss stage system is nonsingular, and every step is non-expansive,
-    |1 + D_i| <= 1, so rounding differences cannot grow.  Its values then
-    differ from the scalar driver's by a few ulps per step.  Otherwise the
+    |1 + D_i| <= 1, so rounding differences cannot grow.  It runs the
+    recurrence y + (D_i*y + S_i) as a two-level scan over rows of
+    ``scan_width(N)`` intervals (a plain loop when that is 1), and its
+    values differ from the scalar driver's by a few ulps per step, the
+    same from run to run.  Otherwise the
     scalar driver runs, with values and errors exactly those of one step
     function call per interval: ``explicit_rk_step`` for explicit schemes
     (a step that fails, or whose result is not finite, is redone by that

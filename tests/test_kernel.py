@@ -40,7 +40,8 @@ from shishkin_ivp import (
     max_error,
     named_tableau,
 )
-from shishkin_ivp.steppers import KERNEL_BLOCK
+from shishkin_ivp import steppers
+from shishkin_ivp.steppers import KERNEL_BLOCK, SCAN_MIN_INTERVALS, scan_width
 from shishkin_ivp.tableaux import EXPLICIT_SCHEMES
 
 ULP_FACTOR = 4.0
@@ -261,7 +262,10 @@ class TestGate:
 
     @pytest.mark.parametrize("scheme", SCHEME_NAMES)
     def test_stationary_solution_exact(self, scheme):
-        """y' = -y + 1 from y = 1: the increment form keeps every node at 1."""
+        """y' = -y + 1 from y = 1: the increment form keeps every node at 1,
+        in the plain loop (N = 500) and in the scan (C = 16 and 64), whose
+        composed maps keep S = -D bit for bit (rounding commutes with
+        negation)."""
         problem = Problem(
             epsilon=1.0,
             x0=0.0,
@@ -270,8 +274,10 @@ class TestGate:
             linear=(lambda x: -1.0, lambda x: 1.0),
             label="stationary",
         )
-        values = integrate(scheme, problem, build_from_sigma(5000, 0.5, 0.2)).values
-        assert np.all(values == 1.0)
+        for n, width in (500, 1), (5000, 16), (2**16, 64):
+            assert scan_width(n) == width
+            values = integrate(scheme, problem, build_from_sigma(n, 0.5, 0.2)).values
+            assert np.all(values == 1.0)
 
     def test_out_of_domain_mesh_falls_back(self):
         """A mesh whose interior leaves the domain is the scalar driver's to
@@ -281,6 +287,85 @@ class TestGate:
         bad = type(mesh)(nodes=nodes, widths=np.array([1.5, -0.5]), kind="uniform")
         with pytest.raises(ValueError, match="leaves the domain"):
             integrate("heun", make_builtin("decay", 1.0), bad)
+
+
+def kernel_coefficients(scheme, problem, mesh):
+    """The kernel's D and S for a mesh of one block."""
+    assert len(mesh.widths) <= KERNEL_BLOCK
+    tableau = named_tableau(scheme)
+    x, h = mesh.nodes[:-1], mesh.widths
+    if tableau.explicit:
+        lists = tableau.a.tolist(), tableau.b.tolist(), tableau.c.tolist()
+        found = steppers._explicit_coefficients(lists, problem, x, h)
+    else:
+        found = steppers._gauss2_coefficients(problem, x, h)
+    return found[0], found[1]
+
+
+class TestScan:
+    """The two-level scan of the step recurrence: the plain loop at row
+    width C = 1, and within the oracle's ulp bound on both sides of every
+    change of C."""
+
+    def test_width_rule(self):
+        """C is 1 below SCAN_MIN_INTERVALS, then the largest power of two
+        at most sqrt(N)/4; it changes only at even powers of two."""
+        assert SCAN_MIN_INTERVALS == 2**10
+        widths = {k: scan_width(2**k) for k in range(2, 23)}
+        assert widths == {k: 1 if k < 10 else 2 ** (k // 2 - 2) for k in range(2, 23)}
+        changes = [k for k in range(3, 23) if scan_width(2**k - 1) != widths[k]]
+        assert changes == list(range(10, 23, 2))
+        assert all(scan_width(2**k + 1) == widths[k] for k in range(2, 23))
+        assert scan_width(2**40) == KERNEL_BLOCK
+
+    @pytest.mark.parametrize("n", [2**4, 2**9, SCAN_MIN_INTERVALS - 2])
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    def test_width_one_is_the_plain_loop(self, scheme, n):
+        assert scan_width(n) == 1
+        eps = 2.0**-4
+        problem = make_builtin("layer1", eps)
+        mesh = mesh_for("shishkin", n, eps)
+        d, s = kernel_coefficients(scheme, problem, mesh)
+        y = float(problem.y0)
+        expected = [y]
+        for d_i, s_i in zip(d.tolist(), s.tolist()):
+            y = y + (d_i * y + s_i)
+            expected.append(y)
+        got = integrate(scheme, problem, mesh).values
+        assert got.tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize(
+        "scheme, n",
+        [(scheme, 2**k + dn) for k in (10, 12, 14) for dn in (-2, 0) for scheme in SCHEME_NAMES]
+        + [("heun", 2**16 - 2), ("heun", 2**16)],
+    )
+    def test_both_sides_of_each_width_change(self, scheme, n):
+        """Shishkin meshes just below and at each change of C up to 2^16;
+        the values are the same from run to run."""
+        eps = 2.0**-8
+        problem = make_builtin("layer1", eps)
+        mesh = mesh_for("shishkin", n, eps)
+        assert check_against_oracle(scheme, problem, mesh) == "kernel"
+        first = integrate(scheme, problem, mesh).values
+        assert first.tobytes() == integrate(scheme, problem, mesh).values.tobytes()
+
+    @pytest.mark.parametrize("n", [3001, KERNEL_BLOCK + 32, 5000])
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    def test_ragged_and_straddling_uniform_meshes(self, scheme, n):
+        """A last row shorter than C (3001 = 375*8 + 1), a mesh straddling
+        KERNEL_BLOCK in whole rows (4128 = 258*16), and both (5000)."""
+        assert (n % scan_width(n) != 0) == (n != KERNEL_BLOCK + 32)
+        problem = make_builtin("layer1", 2.0**-4)
+        assert check_against_oracle(scheme, problem, build_uniform_mesh(n)) == "kernel"
+
+    @pytest.mark.parametrize("width", [2, 128, 512, KERNEL_BLOCK])
+    @pytest.mark.parametrize("scheme", ["heun", "rk3_a", "gauss2"])
+    def test_other_widths(self, scheme, width, monkeypatch):
+        """Widths the rule picks only on larger meshes (or never), on a
+        ragged mesh straddling KERNEL_BLOCK: down to two rows."""
+        monkeypatch.setattr(steppers, "scan_width", lambda n: width)
+        problem = make_builtin("layer1", 2.0**-4)
+        assert check_against_oracle(scheme, problem, build_uniform_mesh(5000)) == "kernel"
 
 
 class TestMaxError:

@@ -160,6 +160,19 @@ class TestGauss2Step:
         problem = make_builtin("decay", 0.25)
         assert gauss2_linear_step(problem, 0.3, 0.7, 0.0) == 0.7
 
+    @pytest.mark.parametrize("x, h", [(5.0, 0.5), (0.9, 0.2), (-0.5, 0.2)])
+    def test_rejects_step_leaving_domain(self, x, h):
+        """The same ValueError as explicit_rk_step's, before p or q is
+        evaluated outside [0, 1]."""
+        problem = make_builtin("layer1", 0.5)
+        message = f"step from x={x} with h={h} leaves the domain [0.0, 1.0]"
+        with pytest.raises(ValueError) as raised:
+            gauss2_linear_step(problem, x, 1.0, h)
+        assert str(raised.value) == message
+        with pytest.raises(ValueError) as raised:
+            explicit_rk_step(named_tableau("heun"), problem, x, 1.0, h)
+        assert str(raised.value) == message
+
     def test_requires_linear_form(self):
         plain = Problem(
             epsilon=1.0, x0=0.0, y0=1.0, rhs=lambda x, y: -y * y, label="sq"
