@@ -190,15 +190,27 @@ def build_shishkin_mesh(params: ShishkinParams) -> Mesh:
 def build_uniform_mesh(
     n_intervals: int, interval: tuple[float, float] = (0.0, 1.0)
 ) -> Mesh:
-    """Equidistant mesh with h = (x_hi - x_lo) / N."""
+    """Equidistant mesh with h = (x_hi - x_lo) / N, on finite endpoints,
+    with a finite positive h and strictly increasing nodes."""
     x_lo, x_hi = interval
     if n_intervals < 1:
         raise ValueError(f"n_intervals must be >= 1, got {n_intervals}")
+    if not (math.isfinite(x_lo) and math.isfinite(x_hi)):
+        raise ValueError(f"interval endpoints must be finite, got [{x_lo}, {x_hi}]")
     if not x_lo < x_hi:
         raise ValueError(f"degenerate interval [{x_lo}, {x_hi}]")
     h = (x_hi - x_lo) / n_intervals
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(
+            f"interval [{x_lo}, {x_hi}] gives width {h} for {n_intervals} intervals"
+        )
     nodes = x_lo + h * np.arange(n_intervals + 1)
     nodes[-1] = x_hi
+    if not np.all(nodes[:-1] < nodes[1:]):
+        raise ValueError(
+            f"interval [{x_lo}, {x_hi}] is too short for {n_intervals} "
+            "intervals: the mesh nodes would repeat"
+        )
     return Mesh(
         nodes=nodes,
         widths=np.full(n_intervals, h),

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -49,9 +50,9 @@ SINGULAR_DENOMINATOR_TOL = 1e-14
 #: numpy calls, few enough to keep the block's temporaries small.
 KERNEL_BLOCK = 4096
 
-#: The kernel requires max|y| * max|coefficient| + max|offset| below this,
-#: far enough from overflow that the scalar driver's intermediates, which
-#: differ by rounding, stay finite too.
+#: The kernel requires max|y| * max|coefficient| + max|offset| over the
+#: whole run below this, far enough from overflow that the scalar driver's
+#: intermediates, which differ by rounding, stay finite too.
 KERNEL_HEADROOM = 2.0**1000
 
 class StageEvaluationError(ArithmeticError):
@@ -176,29 +177,25 @@ def gauss2_linear_step(
     return result
 
 
-def _explicit_checks(problem: Problem, c, x, h):
+def _step_checks(problem: Problem, c, x, h):
     """The stage abscissae x + c_j*h of a block of intervals, and per
-    interval whether it passes the checks explicit_rk_step and rhs_eval
-    make per step: h > 0, and x + h and every stage abscissa inside the
-    domain."""
+    interval whether it passes the one rule for every tableau: h > 0, and
+    x, x + h and every stage abscissa inside the domain (the checks of the
+    step functions and rhs_eval, with h = 0 left to gauss2_linear_step)."""
     lo, hi = domain_bounds(problem)
     stage_x = [x + c_j * h for c_j in c]
-    passed = (h > 0.0) & (x + h <= hi)
+    passed = (h > 0.0) & (lo <= x) & (x + h <= hi)
     for x_j in stage_x:
         passed &= (lo <= x_j) & (x_j <= hi)
     return stage_x, passed
 
 
-def _explicit_coefficients(coefficients, problem: Problem, x, h):
+def _explicit_coefficients(a, b, linear, stage_x, h):
     """Block coefficients (see _affine_integrate) of an explicit tableau
-    given as lists (a, b, c), by forward substitution of the stage slopes
-    k_j = alpha_j*y + beta_j.  D comes from p alone and is tested before
-    q is evaluated."""
-    a, b, c = coefficients
-    stage_x, passed = _explicit_checks(problem, c, x, h)
-    if not passed.all():
-        return None
-    p_fn, q_fn = problem.linear
+    given as lists a and b, by forward substitution of the stage slopes
+    k_j = alpha_j*y + beta_j, with linear = (p, q).  D comes from p alone
+    and is tested before q is evaluated."""
+    p_fn, q_fn = linear
     ps = [array_eval(p_fn, x_j) for x_j in stage_x]
     if any(p is None for p in ps):
         return None
@@ -220,18 +217,13 @@ def _explicit_coefficients(coefficients, problem: Problem, x, h):
     return d, s, alphas + ps, betas + qs
 
 
-def _gauss2_coefficients(problem: Problem, x, h):
+def _gauss2_coefficients(linear, stage_x, h):
     """Block coefficients (see _affine_integrate) of the two-stage Gauss
     step, from the batched 2x2 stage solve by Cramer's rule; its
     determinant is gauss2_linear_step's, bit for bit.  D is tested before
     q is evaluated."""
     g = GAUSS2_GAMMA
-    lo, hi = domain_bounds(problem)
-    stage_x = x + (0.5 - g) * h, x + (0.5 + g) * h
-    inside = all(lo <= x_j.min() and x_j.max() <= hi for x_j in stage_x)
-    if not (h.min() >= 0.0 and inside):
-        return None
-    p_fn, q_fn = problem.linear
+    p_fn, q_fn = linear
     p1, p2 = (array_eval(p_fn, x_j) for x_j in stage_x)
     if p1 is None or p2 is None:
         return None
@@ -311,47 +303,45 @@ def _affine_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
     """Node values from the affine-step kernel, or None when a block fails
     the gate that integrate documents.
 
-    Per block of intervals the coefficient functions return None (gate
-    failed) or (D, S, alphas, betas): the step y + (D*y + S), and the
-    affine forms alpha*y + beta of the intermediates the scalar step
-    computes from y, which must stay far from overflow.  D and S go
-    straight into the scan's rows (see _scan; the last row is padded with
-    identity steps), and the headroom test runs on the scan's values.
+    Per block of intervals that pass _step_checks the coefficient
+    functions return None (gate failed) or (D, S, alphas, betas): the step
+    y + (D*y + S), and the affine forms alpha*y + beta of the intermediates
+    the scalar step computes from y.  D and S go straight into the scan's
+    rows (see _scan; the last row is padded with identity steps), and one
+    headroom test over the whole run follows the scan.
     """
     nodes, widths = mesh.nodes, mesh.widths
     n = len(widths)
     width = scan_width(n)
     rows = -(-n // width)
-    d_rows, s_rows = np.empty((2, width, rows))
+    d_rows, s_rows = np.zeros((2, width, rows))
     values = np.empty(1 + width * rows)
     values[0] = float(problem.y0)
-    coefficients = tableau.a.tolist(), tableau.b.tolist(), tableau.c.tolist()
-    bounds = []
+    if tableau.explicit:
+        a, b = tableau.a.tolist(), tableau.b.tolist()
+        coefficients = partial(_explicit_coefficients, a, b)
+    else:
+        coefficients = _gauss2_coefficients
+    a_max = b_max = 0.0
     with np.errstate(all="ignore"):
         for lo in range(0, n, KERNEL_BLOCK):
             hi = min(lo + KERNEL_BLOCK, n)
-            x, h = nodes[lo:hi], widths[lo:hi]
-            if tableau.explicit:
-                found = _explicit_coefficients(coefficients, problem, x, h)
-            else:
-                found = _gauss2_coefficients(problem, x, h)
+            h = widths[lo:hi]
+            stage_x, passed = _step_checks(problem, tableau.c, nodes[lo:hi], h)
+            found = coefficients(problem.linear, stage_x, h) if passed.all() else None
             if found is None:
                 return None
             d, s, alphas, betas = found
             row, (full, tail) = lo // width, divmod(hi - lo, width)
             for grid, block in (d_rows, d), (s_rows, s):
                 grid[:, row : row + full] = block[: full * width].reshape(full, width).T
-                if tail:
-                    grid[:tail, -1] = block[full * width :]
-                    grid[tail:, -1] = 0.0
-            a_max = max(np.abs(alpha).max() for alpha in alphas)
-            b_max = max(np.abs(beta).max() for beta in betas)
-            bounds.append((lo, hi, a_max, b_max))
+                grid[:tail, -1] = block[full * width :]
+            a_max = max(a_max, max(np.abs(alpha).max() for alpha in alphas))
+            b_max = max(b_max, max(np.abs(beta).max() for beta in betas))
         _scan(d_rows, s_rows, values)
-        for lo, hi, a_max, b_max in bounds:
-            y_max = np.abs(values[lo : hi + 1]).max()
-            if not y_max * a_max + b_max <= KERNEL_HEADROOM:
-                return None
+        y_max = max(values.max(), -values.min())
+        if not y_max * a_max + b_max <= KERNEL_HEADROOM:
+            return None
     return values[: n + 1]
 
 
@@ -366,16 +356,13 @@ def _numbered(i: int, step, *args):
 
 def _gauss2_scalar_integrate(problem: Problem, mesh: Mesh) -> np.ndarray:
     """Node values from ``gauss2_linear_step``, one step per interval."""
-    x_list = mesh.nodes.tolist()
-    h_list = mesh.widths.tolist()
-    values = np.empty(len(x_list))
-    y = float(problem.y0)
-    values[0] = y
+    values = np.empty(len(mesh.nodes))
+    y = values[0] = float(problem.y0)
     # An overflowing numpy coefficient surfaces as the step's error, not
     # as a warning.
     with np.errstate(all="ignore"):
-        for i, h in enumerate(h_list):
-            y = _numbered(i, gauss2_linear_step, problem, x_list[i], y, h)
+        for i, (x, h) in enumerate(zip(mesh.nodes.tolist(), mesh.widths.tolist())):
+            y = _numbered(i, gauss2_linear_step, problem, x, y, h)
             values[i + 1] = y
     return values
 
@@ -433,7 +420,7 @@ def _explicit_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
     ``explicit_rk_step`` per interval.
 
     Per block of intervals, numpy makes the checks explicit_rk_step makes
-    per step (_explicit_checks).  Steps that pass run straight-line; a
+    per step (_step_checks).  Steps that pass run straight-line; a
     step that fails them, or that the straight-line loop stops at, goes to
     explicit_rk_step, and the loop resumes after it.  The named explicit
     tableaux have two or three stages.
@@ -445,15 +432,10 @@ def _explicit_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
     n = len(widths)
     values = np.empty(n + 1)
     y = values[0] = float(problem.y0)
-
-    def hand_off(i, y):
-        x_i, h_i = float(nodes[i]), float(widths[i])
-        return _numbered(i, explicit_rk_step, tableau, problem, x_i, y, h_i)
-
     with np.errstate(all="ignore"):
         for lo in range(0, n, KERNEL_BLOCK):
             hi = min(lo + KERNEL_BLOCK, n)
-            stage_x, vouched = _explicit_checks(problem, c, nodes[lo:hi], widths[lo:hi])
+            stage_x, vouched = _step_checks(problem, c, nodes[lo:hi], widths[lo:hi])
             columns = [widths[lo:hi].tolist()] + [x_j.tolist() for x_j in stage_x]
             m = hi - lo
             # A straight-line run ends at the next step that failed the
@@ -465,7 +447,9 @@ def _explicit_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
                 rows = islice(zip(*columns), len(block), end)
                 y = steps(f, a, b, y, rows, block)
                 if len(block) < m:
-                    y = hand_off(lo + len(block), y)
+                    i = lo + len(block)
+                    x_i, h_i = float(nodes[i]), float(widths[i])
+                    y = _numbered(i, explicit_rk_step, tableau, problem, x_i, y, h_i)
                     block.append(y)
             values[lo + 1 : hi + 1] = block
     return values
@@ -476,20 +460,21 @@ def integrate(scheme: str, problem: Problem, mesh: Mesh) -> Trajectory:
 
     Exactly one step per interval, left to right.  The affine-step kernel
     runs when the problem has a linear form whose coefficient functions
-    accept arrays (scalar results are broadcast), every width, abscissa,
-    coefficient and stage slope is finite and inside the domain, every
-    Gauss stage system is nonsingular, and every step is non-expansive,
-    |1 + D_i| <= 1, so rounding differences cannot grow.  It runs the
-    recurrence y + (D_i*y + S_i) as a two-level scan over rows of
-    ``scan_width(N)`` intervals (a plain loop when that is 1), and its
-    values differ from the scalar driver's by a few ulps per step, the
-    same from run to run.  Otherwise the
-    scalar driver runs, with values and errors exactly those of one step
-    function call per interval: ``explicit_rk_step`` for explicit schemes
-    (a step that fails, or whose result is not finite, is redone by that
-    function, which calls ``rhs`` again), ``gauss2_linear_step`` for
-    ``gauss2`` (so it requires a linear problem).  Blow-ups raise with the
-    failing ``step N``.
+    accept arrays (scalar results are broadcast), every interval passes
+    the step functions' rule (h > 0; x, x + h and every stage abscissa
+    inside the domain), every coefficient and stage slope is finite, every
+    Gauss stage system is nonsingular, every step is non-expansive,
+    |1 + D_i| <= 1, so rounding differences cannot grow, and the run stays
+    below KERNEL_HEADROOM.  It runs the recurrence y + (D_i*y + S_i) as a
+    two-level scan over rows of ``scan_width(N)`` intervals (a plain loop
+    when that is 1), and its values differ from the scalar driver's by a
+    few ulps per step, the same from run to run.  Otherwise the scalar
+    driver runs, with values and errors exactly those of one step function
+    call per interval: ``explicit_rk_step`` for explicit schemes (a step
+    that fails, or whose result is not finite, is redone by that function,
+    which calls ``rhs`` again), ``gauss2_linear_step`` for ``gauss2`` (so
+    it requires a linear problem).  Blow-ups raise with the failing
+    ``step N``.
     """
     nodes = mesh.nodes
     if (

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
 from shishkin_ivp import (
     Problem,
+    ShishkinParams,
     Trajectory,
+    build_shishkin_mesh,
     build_uniform_mesh,
     integrate,
     make_builtin,
@@ -218,6 +221,55 @@ class TestAsymptoticOrders:
         )
         worst = max(table.entries[(eps, 12)].error for eps in table.epsilons)
         assert worst <= 1e-5
+
+
+def gauss2_layer1_recurrence(eps, mesh):
+    """gauss2_linear_step's closed form on layer1, run in mpmath at 50
+    digits over the float mesh's own nodes and widths: the node values
+    and the exact solution there."""
+    with mp.workdps(50):
+        e_mp = mpf(eps)
+        g = mp.sqrt(3) / 6
+        c1, c2 = mpf(1) / 2 - g, mpf(1) / 2 + g
+
+        def coefficients(x):
+            e = mp.exp(-x / e_mp)
+            return -x / e_mp, (e_mp + e + x * (x - e + 1)) / e_mp
+
+        y = mpf(0)
+        values = [y]
+        for x, h in zip(mesh.nodes.tolist(), mesh.widths.tolist()):
+            x, h = mpf(x), mpf(h)
+            p1, q1 = coefficients(x + c1 * h)
+            p2, q2 = coefficients(x + c2 * h)
+            denom = (1 - p1 * h / 4) * (1 - p2 * h / 4) - p1 * p2 * (
+                mpf(1) / 16 - g * g
+            ) * h * h
+            numer = (p1 * y + q1) * (1 + p2 * g * h) + (p2 * y + q2) * (1 - p1 * g * h)
+            y = y + h / 2 * numer / denom
+            values.append(y)
+        exact = [mpf(x) - mp.exp(-mpf(x) / e_mp) + 1 for x in mesh.nodes.tolist()]
+        return values, exact
+
+
+class TestGauss2ErrorLevel:
+    @pytest.mark.parametrize("log2_eps, level", [(-20, 5.217e-8), (-30, 5.178e-8)])
+    def test_error_is_truncation_not_rounding(self, log2_eps, level):
+        """gauss2 on layer1 at N = 2^12 errs by ~5.2e-8 at eps = 2^-20 and
+        2^-30.  The same recurrence at 50 digits on the same float mesh
+        has the same error, and the float run stays within 1e-5 of the
+        error of it (measured: 6.7e-15 and 1.35e-13): the error is the
+        scheme's truncation, not rounding from q's division by eps."""
+        eps = 2.0**log2_eps
+        problem = make_builtin("layer1", eps)
+        mesh = build_shishkin_mesh(ShishkinParams(n_intervals=2**12, epsilon=eps))
+        trajectory = integrate("gauss2", problem, mesh)
+        values, exact = gauss2_layer1_recurrence(eps, mesh)
+        error = float(max(abs(y - e) for y, e in zip(values, exact)))
+        rounding = np.abs(trajectory.values - np.array(values, dtype=float)).max()
+        assert error == pytest.approx(level, rel=1e-3)
+        assert max_error(trajectory, problem) == pytest.approx(error, rel=1e-5)
+        assert rounding <= 1e-5 * error
 
 
 class TestOscillationCount:

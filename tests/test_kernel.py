@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from shishkin_ivp import (
     GAUSS2_GAMMA,
+    Mesh,
     Problem,
     SCHEME_NAMES,
     ShishkinParams,
@@ -279,14 +280,25 @@ class TestGate:
             values = integrate(scheme, problem, build_from_sigma(n, 0.5, 0.2)).values
             assert np.all(values == 1.0)
 
-    def test_out_of_domain_mesh_falls_back(self):
-        """A mesh whose interior leaves the domain is the scalar driver's to
-        reject, with its ValueError."""
-        nodes = np.array([0.0, 1.5, 1.0])
-        mesh = build_uniform_mesh(2)
-        bad = type(mesh)(nodes=nodes, widths=np.array([1.5, -0.5]), kind="uniform")
-        with pytest.raises(ValueError, match="leaves the domain"):
-            integrate("heun", make_builtin("decay", 1.0), bad)
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    def test_out_of_domain_mesh_falls_back(self, scheme):
+        """A mesh whose interior leaves the domain, whose last width runs
+        past its end, or with a node below its start is the scalar
+        driver's to reject, with the oracle's ValueError, for every
+        scheme."""
+        cases = [
+            ("decay", 1.0, [0.0, 1.5, 1.0], [1.5, -0.5]),
+            ("layer1", 0.5, [0.0, 0.5, 1.0], [0.5, 0.6]),
+            ("layer1", 0.5, [0.0, -1e-3, 1.0], [0.5, 0.5]),
+        ]
+        for name, eps, nodes, widths in cases:
+            problem = make_builtin(name, eps)
+            bad = Mesh(nodes=np.array(nodes), widths=np.array(widths), kind="uniform")
+            with pytest.raises(ValueError, match="leaves the domain") as expected:
+                oracle(scheme, problem, bad)
+            with pytest.raises(ValueError) as raised:
+                integrate(scheme, problem, bad)
+            assert str(raised.value) == str(expected.value)
 
 
 def kernel_coefficients(scheme, problem, mesh):
@@ -294,11 +306,12 @@ def kernel_coefficients(scheme, problem, mesh):
     assert len(mesh.widths) <= KERNEL_BLOCK
     tableau = named_tableau(scheme)
     x, h = mesh.nodes[:-1], mesh.widths
+    stage_x, _ = steppers._step_checks(problem, tableau.c, x, h)
     if tableau.explicit:
-        lists = tableau.a.tolist(), tableau.b.tolist(), tableau.c.tolist()
-        found = steppers._explicit_coefficients(lists, problem, x, h)
+        lists = tableau.a.tolist(), tableau.b.tolist()
+        found = steppers._explicit_coefficients(*lists, problem.linear, stage_x, h)
     else:
-        found = steppers._gauss2_coefficients(problem, x, h)
+        found = steppers._gauss2_coefficients(problem.linear, stage_x, h)
     return found[0], found[1]
 
 

@@ -1,5 +1,7 @@
 """Tests for transition points, generating functions and mesh builders."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -221,6 +223,34 @@ class TestUniformMesh:
             build_uniform_mesh(4, (1.0, 1.0))
         with pytest.raises(ValueError):
             build_uniform_mesh(0)
+
+    @pytest.mark.parametrize(
+        "n, interval, message",
+        [
+            (4, (0.0, math.inf), "must be finite"),
+            (4, (-math.inf, 0.0), "must be finite"),
+            (4, (math.nan, 1.0), "must be finite"),
+            (2, (-1e308, 1e308), "gives width inf"),
+            (4, (0.0, 5e-324), "gives width 0.0"),
+            (4, (1.0, 1.0 + 4e-16), "nodes would repeat"),
+        ],
+        ids=[
+            "inf-end", "inf-start", "nan-start", "overflowing-width", "zero-width",
+            "repeated-nodes",
+        ],
+    )
+    def test_broken_span_rejected(self, n, interval, message):
+        """Spans that would give non-finite nodes, zero widths or repeated
+        nodes raise instead of building a broken mesh."""
+        with pytest.raises(ValueError, match=message):
+            build_uniform_mesh(n, interval)
+
+    def test_span_of_one_ulp_per_interval(self):
+        """The shortest span that still gives distinct nodes builds."""
+        x_hi = 1.0 + 3 * 2.0**-52
+        mesh = build_uniform_mesh(3, (1.0, x_hi))
+        assert np.all(np.diff(mesh.nodes) > 0.0)
+        assert mesh.nodes[-1] == x_hi
 
 
 class TestValidateMesh:
