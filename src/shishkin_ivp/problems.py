@@ -151,11 +151,12 @@ def linear_coeffs_eval(problem: Problem, x: float) -> tuple[float, float]:
 
 
 def array_eval(fn: Callable, x: np.ndarray) -> np.ndarray | None:
-    """``fn`` evaluated on the whole array ``x``, a scalar result broadcast
-    to its shape; ``None`` when ``fn`` does not accept arrays (it raised
-    ``TypeError`` or ``ValueError``, or returned an unbroadcastable shape)."""
+    """``fn`` on the whole array ``x``, as float64 of its shape (a float64
+    result of that shape as it is: maybe ``x``, never to be written); None
+    if ``fn`` rejects arrays (TypeError, ValueError, unbroadcastable shape)."""
     try:
-        return np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape)
+        value = np.asarray(fn(x), dtype=float)
+        return value if value.shape == x.shape else np.broadcast_to(value, x.shape)
     except (TypeError, ValueError):
         return None
 

@@ -8,11 +8,11 @@ so no iteration is needed).  Nonlinear implicit stepping is out of scope.
 On a linear problem y' = p(x)*y + q(x) every step of every tableau is
 affine in y, y_{i+1} = y_i + (D_i*y_i + S_i): the variable-coefficient
 form of R(z) = 1 + z b^T (I - zA)^{-1} 1 (Hairer & Wanner, Solving ODEs II,
-sec. IV.3).  ``integrate`` computes D and S with numpy, block by block,
-and runs the recurrence as a two-level scan (rows of C intervals, C
-chosen from the mesh size by ``scan_width``) whenever it can show that
-the scalar driver would give the same values up to rounding; otherwise
-the scalar driver, the oracle, runs the whole mesh.
+sec. IV.3).  ``integrate`` computes D and S with numpy, a block at a time
+and without the generic substitution's no-op work, and runs the
+recurrence as a two-level scan (rows of C = ``scan_width(N)`` intervals)
+whenever it can show that the scalar driver would give the same values
+up to rounding; otherwise the scalar driver, the oracle, runs the mesh.
 
 For explicit schemes the scalar driver is ``explicit_rk_step``'s arithmetic
 with its checks hoisted out of the loop: numpy checks each block of
@@ -178,52 +178,52 @@ def gauss2_linear_step(
 
 
 def _step_checks(problem: Problem, c, x, h):
-    """The stage abscissae x + c_j*h of a block of intervals, and per
-    interval whether it passes the one rule for every tableau: h > 0, and
-    x, x + h and every stage abscissa inside the domain (the checks of the
-    step functions and rhs_eval, with h = 0 left to gauss2_linear_step)."""
+    """The stage abscissae x + c_j*h of a block of intervals, and a list of
+    the indices of those that fail the one rule for every tableau: h > 0,
+    and x, x + h and every stage abscissa inside the domain (the checks of
+    the step functions and rhs_eval, with h = 0 left to gauss2_linear_step).
+    It relies on 0 <= c_j <= 1, true of every named tableau (README.md)."""
     lo, hi = domain_bounds(problem)
-    stage_x = [x + c_j * h for c_j in c]
-    passed = (h > 0.0) & (lo <= x) & (x + h <= hi)
-    for x_j in stage_x:
-        passed &= (lo <= x_j) & (x_j <= hi)
-    return stage_x, passed
+    end = x + h
+    stage_x = [x + c_j if c_j == 0.0 else end if c_j == 1.0 else x + c_j * h for c_j in c]
+    if h.min() > 0.0 and lo <= x.min() and end.max() <= hi:  # nan fails
+        return stage_x, []
+    return stage_x, np.flatnonzero(~((h > 0.0) & (lo <= x) & (end <= hi))).tolist()
 
 
-def _explicit_coefficients(a, b, linear, stage_x, h):
+def _explicit_coefficients(a, b, p_fn, q_fn, stage_x, h):
     """Block coefficients (see _affine_integrate) of an explicit tableau
     given as lists a and b, by forward substitution of the stage slopes
-    k_j = alpha_j*y + beta_j, with linear = (p, q).  D comes from p alone
-    and is tested before q is evaluated."""
-    p_fn, q_fn = linear
+    k_j = alpha_j*y + beta_j for y' = p(x)*y + q(x).  D comes from p alone
+    and is tested before q is evaluated.  D, S and the forms' maxima are the
+    generic sums' doubles, from only the work that can change them (README)."""
     ps = [array_eval(p_fn, x_j) for x_j in stage_x]
     if any(p is None for p in ps):
         return None
     # Stage value y + h * sum_k a_jk k_k = (1 + h*acc_a)*y + h*acc_b.
     alphas, betas = [], []
-    for j, p in enumerate(ps):
-        acc_a = sum(a[j][k] * alphas[k] for k in range(j) if a[j][k])
-        alphas.append(p * (1.0 + h * acc_a))
+    for a_j, p in zip(a, ps):
+        acc = [alpha if w == 1.0 else w * alpha for w, alpha in zip(a_j, alphas) if w]
+        alphas.append(p * (1.0 + h * sum(acc[1:], acc[0])) if acc else p)
     d = h * sum(b_j * alpha for b_j, alpha in zip(b, alphas))
     if not np.abs(1.0 + d).max() <= 1.0:
         return None
     qs = [array_eval(q_fn, x_j) for x_j in stage_x]
     if any(q is None for q in qs):
         return None
-    for j, (p, q) in enumerate(zip(ps, qs)):
-        acc_b = sum(a[j][k] * betas[k] for k in range(j) if a[j][k])
-        betas.append(p * (h * acc_b) + q)
+    for a_j, p, q in zip(a, ps, qs):
+        acc = [beta if w == 1.0 else w * beta for w, beta in zip(a_j, betas) if w]
+        betas.append(p * (h * sum(acc[1:], acc[0])) + q if acc else q)
     s = h * sum(b_j * beta for b_j, beta in zip(b, betas))
-    return d, s, alphas + ps, betas + qs
+    return d, s, ps + alphas[1:], qs + betas[1:]
 
 
-def _gauss2_coefficients(linear, stage_x, h):
+def _gauss2_coefficients(p_fn, q_fn, stage_x, h):
     """Block coefficients (see _affine_integrate) of the two-stage Gauss
     step, from the batched 2x2 stage solve by Cramer's rule; its
     determinant is gauss2_linear_step's, bit for bit.  D is tested before
     q is evaluated."""
     g = GAUSS2_GAMMA
-    p_fn, q_fn = linear
     p1, p2 = (array_eval(p_fn, x_j) for x_j in stage_x)
     if p1 is None or p2 is None:
         return None
@@ -306,9 +306,9 @@ def _affine_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
     Per block of intervals that pass _step_checks the coefficient
     functions return None (gate failed) or (D, S, alphas, betas): the step
     y + (D*y + S), and the affine forms alpha*y + beta of the intermediates
-    the scalar step computes from y.  D and S go straight into the scan's
-    rows (see _scan; the last row is padded with identity steps), and one
-    headroom test over the whole run follows the scan.
+    the scalar step computes from y, less any whose magnitude another
+    repeats.  D and S go into the scan's rows (see _scan; the last row is
+    padded with identity steps), and one headroom test follows the scan.
     """
     nodes, widths = mesh.nodes, mesh.widths
     n = len(widths)
@@ -327,8 +327,8 @@ def _affine_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
         for lo in range(0, n, KERNEL_BLOCK):
             hi = min(lo + KERNEL_BLOCK, n)
             h = widths[lo:hi]
-            stage_x, passed = _step_checks(problem, tableau.c, nodes[lo:hi], h)
-            found = coefficients(problem.linear, stage_x, h) if passed.all() else None
+            stage_x, failed = _step_checks(problem, tableau.c, nodes[lo:hi], h)
+            found = None if failed else coefficients(*problem.linear, stage_x, h)
             if found is None:
                 return None
             d, s, alphas, betas = found
@@ -435,12 +435,11 @@ def _explicit_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
     with np.errstate(all="ignore"):
         for lo in range(0, n, KERNEL_BLOCK):
             hi = min(lo + KERNEL_BLOCK, n)
-            stage_x, vouched = _step_checks(problem, c, nodes[lo:hi], widths[lo:hi])
+            stage_x, failed = _step_checks(problem, c, nodes[lo:hi], widths[lo:hi])
             columns = [widths[lo:hi].tolist()] + [x_j.tolist() for x_j in stage_x]
             m = hi - lo
-            # A straight-line run ends at the next step that failed the
-            # checks, or earlier; that step is handed over.
-            stops = np.flatnonzero(~vouched).tolist() + [m]
+            # A straight-line run ends at the next failed step, or earlier.
+            stops = failed + [m]
             block = []
             while len(block) < m:
                 end = stops[bisect_left(stops, len(block))]

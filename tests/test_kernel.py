@@ -301,18 +301,192 @@ class TestGate:
             assert str(raised.value) == str(expected.value)
 
 
+def kernel_block(tableau, problem, x, h):
+    """The kernel's coefficient layer on one block: the stage abscissae,
+    then None (gate failed) or D, S and the headroom maxima as
+    ``_affine_integrate`` reduces them."""
+    stage_x, failed = steppers._step_checks(problem, tableau.c, x, h)
+    assert not failed
+    if tableau.explicit:
+        lists = tableau.a.tolist(), tableau.b.tolist()
+        found = steppers._explicit_coefficients(*lists, *problem.linear, stage_x, h)
+    else:
+        found = steppers._gauss2_coefficients(*problem.linear, stage_x, h)
+    if found is None:
+        return stage_x, None
+    d, s, alphas, betas = found
+    a_max = max(np.abs(alpha).max() for alpha in alphas)
+    return stage_x, (d, s, a_max, max(np.abs(beta).max() for beta in betas))
+
+
 def kernel_coefficients(scheme, problem, mesh):
     """The kernel's D and S for a mesh of one block."""
     assert len(mesh.widths) <= KERNEL_BLOCK
     tableau = named_tableau(scheme)
-    x, h = mesh.nodes[:-1], mesh.widths
-    stage_x, _ = steppers._step_checks(problem, tableau.c, x, h)
-    if tableau.explicit:
-        lists = tableau.a.tolist(), tableau.b.tolist()
-        found = steppers._explicit_coefficients(*lists, problem.linear, stage_x, h)
-    else:
-        found = steppers._gauss2_coefficients(problem.linear, stage_x, h)
+    _, found = kernel_block(tableau, problem, mesh.nodes[:-1], mesh.widths)
     return found[0], found[1]
+
+
+def reference_block(tableau, problem, x, h):
+    """The coefficient layer written generically, as the kernel's bits are
+    defined: every stage abscissa x + c_j*h, every coefficient converted
+    and broadcast, forward-substitution sums over the nonzero a_jk and
+    over all b_j from Python's int 0 (so p*(h*0) + q for a first stage),
+    the Gauss step by Cramer's rule, and maxima over every alpha, beta, p
+    and q.  Returns what ``kernel_block`` returns."""
+    p_fn, q_fn = problem.linear
+    stage_x = [x + c_j * h for c_j in tableau.c.tolist()]
+
+    def on_stages(fn):
+        return [np.broadcast_to(np.asarray(fn(x_j), dtype=float), x_j.shape) for x_j in stage_x]
+
+    ps = on_stages(p_fn)
+    if tableau.explicit:
+        a, b = tableau.a.tolist(), tableau.b.tolist()
+        alphas, betas = [], []
+        for j, p in enumerate(ps):
+            acc_a = sum(a[j][k] * alphas[k] for k in range(j) if a[j][k])
+            alphas.append(p * (1.0 + h * acc_a))
+        d = h * sum(b_j * alpha for b_j, alpha in zip(b, alphas))
+        if not np.abs(1.0 + d).max() <= 1.0:
+            return stage_x, None
+        qs = on_stages(q_fn)
+        for j, (p, q) in enumerate(zip(ps, qs)):
+            acc_b = sum(a[j][k] * betas[k] for k in range(j) if a[j][k])
+            betas.append(p * (h * acc_b) + q)
+        s = h * sum(b_j * beta for b_j, beta in zip(b, betas))
+    else:
+        g = GAUSS2_GAMMA
+        p1, p2 = ps
+        det = (1.0 - 0.25 * p1 * h) * (1.0 - 0.25 * p2 * h) - p1 * p2 * (
+            1.0 / 16.0 - g * g
+        ) * h * h
+        if not np.abs(det).min() > steppers.SINGULAR_DENOMINATOR_TOL:
+            return stage_x, None
+        f1, f2 = 1.0 - p1 * g * h, 1.0 + p2 * g * h
+        alphas = [p1 * f2, p2 * f1]
+        d = 0.5 * h * (alphas[0] + alphas[1]) / det
+        if not np.abs(1.0 + d).max() <= 1.0:
+            return stage_x, None
+        qs = on_stages(q_fn)
+        betas = [qs[0] * f2, qs[1] * f1]
+        s = 0.5 * h * (betas[0] + betas[1]) / det
+    a_max = max(np.abs(f).max() for f in alphas + ps)
+    return stage_x, (d, s, a_max, max(np.abs(f).max() for f in betas + qs))
+
+
+#: Coefficient callbacks for the bit-level test: float64 arrays with
+#: +-0.0 among their values (p = +0.0 beside q = -0.0 makes the generic
+#: first-stage beta p*(h*0) + q differ from q in sign), scalars, a 0-d
+#: array, int arrays and float32 arrays.  p is mostly <= 0, so most
+#: blocks pass the gate; 2x^2 - 1.5 > 0 near x = -1 makes some fail it.
+P_CALLBACKS = [
+    lambda x: np.minimum(-3.0 * x, 0.0),
+    lambda x: 2.0 * x * x - 1.5,
+    lambda x: -0.0,
+    lambda x: np.asarray(-2.0),
+    lambda x: np.floor(-3.0 * x * x).astype(np.int64),
+    lambda x: np.asarray(-2.0 * x * x - 0.25, dtype=np.float32),
+]
+Q_CALLBACKS = [
+    lambda x: -0.0 * x,
+    lambda x: np.where(x < 0.0, 1.5, -0.0),
+    lambda x: -0.0,
+    lambda x: np.floor(2.0 * x).astype(np.int32),
+    lambda x: np.sin(5.0 * x).astype(np.float32),
+    lambda x: x * x - 0.125,
+]
+
+
+def random_block(rng, m=64):
+    """Nodes in [-1, 0.75] with +-0.0 among them, widths in (0, 1/4] with
+    a few tiny and subnormal ones."""
+    x = rng.uniform(-1.0, 0.75, m)
+    x[rng.integers(0, m, 8)] = -0.0
+    x[rng.integers(0, m, 4)] = 0.0
+    h = rng.uniform(0.0, 0.25, m)
+    h[h == 0.0] = 0.125
+    h[rng.integers(0, m, 4)] = rng.choice([2.0**-60, 5e-324, 1e-310])
+    return x, h
+
+
+def same_bits(got, expected):
+    """Equal bytes as float64, so the sign bits of zeros must agree too."""
+    return np.asarray(got, dtype=float).tobytes() == np.asarray(expected, dtype=float).tobytes()
+
+
+class TestCoefficientLayer:
+    """The kernel's coefficient layer leaves out work that changes no
+    value; what it returns is the generic layer's, bit for bit."""
+
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    def test_named_tableaux_keep_stages_inside_the_step(self, scheme):
+        """_step_checks tests no stage abscissa: it relies on
+        0 <= c_j <= 1, so that x <= x + c_j*h <= x + h."""
+        c = named_tableau(scheme).c
+        assert np.all((0.0 <= c) & (c <= 1.0))
+
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    def test_failed_intervals_are_the_generic_rule(self, scheme):
+        """_step_checks reports exactly the intervals that fail h > 0 with
+        x, x + h and every x + c_j*h inside the domain, on blocks that all
+        pass and on blocks with zero, negative, nan and inf widths, nan
+        nodes and nodes outside the domain; where an interval passes, its
+        stage abscissae are x + c_j*h bit for bit."""
+        c = named_tableau(scheme).c
+        problem = make_builtin("decay", 1.0)
+        lo, hi = steppers.domain_bounds(problem)
+        rng = np.random.default_rng(11)
+        for trial in range(40):
+            x, h = rng.uniform(0.0, 0.5, 64), rng.uniform(0.0, 0.5, 64)
+            x[rng.integers(0, 64, 4)] = -0.0
+            bad = rng.integers(0, 64, 3)
+            if trial % 4 == 1:
+                x[bad] = rng.choice([-0.25, -2e-12, np.nan], 3)
+            elif trial % 4 == 2:
+                h[bad] = rng.choice([0.0, -0.0, -0.125, np.nan], 3)
+            elif trial % 4 == 3:
+                x[bad], h[bad] = rng.uniform(0.5, 1.0, 3), rng.choice([0.75, np.inf], 3)
+            with np.errstate(invalid="ignore"):
+                stage = [x + c_j * h for c_j in c]
+                ok = (h > 0.0) & (lo <= x) & (x + h <= hi)
+                for x_j in stage:
+                    ok &= (lo <= x_j) & (x_j <= hi)
+                got_stage, failed = steppers._step_checks(problem, c, x, h)
+            assert failed == np.flatnonzero(~ok).tolist()
+            assert (failed == []) == (trial % 4 == 0)
+            assert all(map(same_bits, [g[ok] for g in got_stage], [e[ok] for e in stage]))
+
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    def test_bits_equal_the_generic_layer(self, scheme):
+        """Stage abscissae, D, S and the per-block headroom maxima, sign
+        bits included (byte comparison), on random blocks with +-0.0
+        nodes, -0.0 coefficients and every kind of callback result; the
+        gate's verdict is the same too."""
+        tableau = named_tableau(scheme)
+        rng = np.random.default_rng(list(SCHEME_NAMES).index(scheme))
+        verdicts = []
+        for p_fn in P_CALLBACKS:
+            for q_fn in Q_CALLBACKS:
+                problem = Problem(
+                    epsilon=1.0,
+                    x0=-1.0,
+                    y0=0.0,
+                    rhs=lambda x, y, p=p_fn, q=q_fn: float(p(x)) * y + float(q(x)),
+                    linear=(p_fn, q_fn),
+                    label="bits",
+                )
+                for _ in range(3):
+                    x, h = random_block(rng)
+                    with np.errstate(all="ignore"):
+                        got_x, got = kernel_block(tableau, problem, x, h)
+                        want_x, want = reference_block(tableau, problem, x, h)
+                    assert all(map(same_bits, got_x, want_x))
+                    verdicts.append(want is None)
+                    assert (got is None) == (want is None)
+                    if want is not None:
+                        assert all(map(same_bits, got, want))
+        assert 0 < sum(verdicts) < len(verdicts) / 2
 
 
 class TestScan:

@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 
 from shishkin_ivp import (
+    SCHEME_NAMES,
     EvaluationError,
     Problem,
+    build_uniform_mesh,
     exact_eval,
+    integrate,
     linear_coeffs_eval,
     make_builtin,
     rhs_eval,
 )
+from shishkin_ivp.problems import array_eval
 
 
 class TestMakeBuiltin:
@@ -101,6 +105,76 @@ class TestLinearCoeffs:
         )
         with pytest.raises(ValueError, match="no linear form"):
             linear_coeffs_eval(plain, 0.5)
+
+
+def scalars_only(x):
+    if np.ndim(x):
+        raise ValueError("scalar x required")
+    return x
+
+
+class TestArrayEval:
+    """array_eval's contract: float64 of x's shape, or None."""
+
+    x = np.linspace(0.0, 1.0, 4)
+
+    def test_float64_array_of_the_shape_is_returned_as_it_is(self):
+        result = np.array([1.0, -0.0, 2.5, 3.0])
+        assert array_eval(lambda x: result, self.x) is result
+        assert array_eval(lambda x: x, self.x) is self.x
+
+    @pytest.mark.parametrize(
+        "result",
+        [
+            -0.0,
+            3,
+            np.asarray(-0.5),
+            np.ones(1),
+            np.arange(4),
+            np.arange(4, dtype=np.float32) / 3,
+        ],
+        ids=["float", "int", "0-d", "length-1", "int-array", "float32-array"],
+    )
+    def test_other_results_become_float64_of_the_shape(self, result):
+        got = array_eval(lambda x: result, self.x)
+        assert got.dtype == np.float64 and got.shape == self.x.shape
+        expected = np.broadcast_to(np.asarray(result, dtype=float), self.x.shape)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "fn",
+        [lambda x: np.ones(3), lambda x: np.ones((4, 2)), math.exp, scalars_only],
+        ids=["short", "two-d", "type-error", "value-error"],
+    )
+    def test_rejection_is_none(self, fn):
+        assert array_eval(fn, self.x) is None
+
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    def test_identity_coefficient_leaves_the_mesh_alone(self, scheme):
+        """p = lambda x: x hands the kernel its own stage abscissae back
+        unconverted; integrate must not write through them."""
+        seen = []
+
+        def p(x):
+            seen.append(isinstance(x, np.ndarray))
+            return x
+
+        problem = Problem(
+            epsilon=1.0,
+            x0=-1.0,
+            y0=1.0,
+            rhs=lambda x, y: x * y + 1.0,
+            domain_end=0.0,
+            linear=(p, lambda x: 1.0),
+            label="identity",
+        )
+        mesh = build_uniform_mesh(2**11, (-1.0, 0.0))
+        nodes = mesh.nodes.copy()
+        seen.clear()
+        values = integrate(scheme, problem, mesh).values
+        assert any(seen)
+        assert mesh.nodes.tobytes() == nodes.tobytes()
+        assert np.isfinite(values).all()
 
 
 class TestExactEval:
