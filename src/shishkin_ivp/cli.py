@@ -1,9 +1,10 @@
 """Command-line front end: mesh dumps, single solves, convergence sweeps
 and the uniform-mesh stability demonstration.
 
-Output is deterministic text: CSV with 17-significant-digit numerics
-(binary64 round-trip), or Markdown tables with 3-significant-digit errors
-and 2-decimal orders.  Exit codes: 0 success, 1 numerical failure,
+Output is deterministic text, written as UTF-8 bytes: CSV with
+17-significant-digit numerics (binary64 round-trip), streamed a block of
+rows at a time, or Markdown tables with 3-significant-digit errors and
+2-decimal orders.  Exit codes: 0 success, 1 numerical failure,
 2 usage error.
 """
 
@@ -13,6 +14,7 @@ import argparse
 import functools
 import re
 import sys
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -73,6 +75,10 @@ _CELL_WIDTH = 24
 #: intermediate of its double-double product stays normal and finite.
 _FAST_RANGE = (1e-270, 1e270)
 
+#: Decimal exponents E = floor(log10 |x|) the pow10 table covers: those of
+#: ``_FAST_RANGE``, with a decade to spare for log10's rounding at each end.
+_DECADES = (-272, 271)
+
 #: A value whose digits beyond the 17th lie this close to one half is left
 #: to ``_fmt17``: the double-double product is good to ~1e-14 of the 17th
 #: digit, so every value outside the margin rounds the same either way.
@@ -80,26 +86,26 @@ _TIE_MARGIN = 1e-6
 
 
 @functools.cache
-def _digit_quads() -> np.ndarray:
-    """The four ASCII digits of each of 0000..9999, packed into a uint32."""
+def _quad_tables() -> tuple[np.ndarray, np.ndarray]:
+    """For each of 0000..9999: its four ASCII digits packed into a uint32,
+    and its count of trailing zeros (4 for 0000)."""
     quads = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
-    return (48 + quads).astype(np.uint8).view(np.uint32).ravel()
+    text = (48 + quads).astype(np.uint8).view(np.uint32).ravel()
+    return text, np.cumprod(quads[:, ::-1] == 0, axis=1).sum(axis=1).astype(np.uint8)
 
 
 @functools.cache
-def _pow10_pair(k: int) -> tuple[float, float]:
-    """10**k as the unevaluated sum hi + lo of two doubles (106 bits)."""
-    num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
-    hi = num / den  # int / int is correctly rounded
-    a, b = hi.as_integer_ratio()
-    return hi, (num * b - a * den) / (den * b)
-
-
-def _pow10_pairs(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_pow10_pair`` per element of k, built for the decades present."""
-    decades, index = np.unique(k, return_inverse=True)
-    hi, lo = np.array([_pow10_pair(e) for e in decades.tolist()]).T
-    return hi[index], lo[index]
+def _pow10_table() -> tuple[np.ndarray, np.ndarray]:
+    """10**(16 - E) as the unevaluated sum hi + lo of two doubles (106
+    bits), for each E in ``_DECADES``, indexed by E - ``_DECADES[0]``."""
+    pairs = []
+    for k in range(16 - _DECADES[0], 15 - _DECADES[1], -1):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        hi = num / den  # int / int is correctly rounded
+        a, b = hi.as_integer_ratio()
+        pairs.append((hi, (num * b - a * den) / (den * b)))
+    hi, lo = np.array(pairs).T
+    return hi, lo
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -122,7 +128,8 @@ def _digits17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ok = (mag >= _FAST_RANGE[0]) & (mag <= _FAST_RANGE[1])
     mag[~ok] = 1.0
     exponent = np.floor(np.log10(mag)).astype(np.int64)
-    hi, lo = _pow10_pairs(16 - exponent)
+    table_hi, table_lo = _pow10_table()
+    hi, lo = table_hi[exponent - _DECADES[0]], table_lo[exponent - _DECADES[0]]
     head = mag * hi
     m1, m2 = _split(mag)
     h1, h2 = _split(hi)
@@ -139,26 +146,32 @@ def _digits17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ok, exponent, digits
 
 
-def _ascii17(digits: np.ndarray) -> np.ndarray:
+def _ascii17(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The ASCII text of 17-digit integers, in bytes 3..19 of each row of
-    an (n, 5) uint32 matrix."""
+    an (n, 5) uint32 matrix, and how many of the 17 digits are left once
+    trailing zeros are dropped."""
+    quad_text, quad_zeros = _quad_tables()
     words = np.empty((len(digits), 5), np.uint32)
     upper = digits // 10**8
     lead = upper // 10**8
-    halves = (upper - lead * 10**8, digits - upper * 10**8)
-    for col, half in enumerate(halves):
+    quads = []
+    for half in (upper - lead * 10**8, digits - upper * 10**8):
         high = half // 10**4
-        words[:, 2 * col + 1] = _digit_quads()[high]
-        words[:, 2 * col + 2] = _digit_quads()[half - high * 10**4]
+        quads += [high, half - high * 10**4]
+    for col, quad in enumerate(quads, 1):
+        words[:, col] = quad_text[quad]
     words.view(np.uint8)[:, 3] = 48 + lead
-    return words
+    zeros = quad_zeros[quads[3]]
+    for seen, quad in zip((4, 8, 12), quads[2::-1]):
+        zeros += (zeros == seen) * quad_zeros[quad]
+    return words, 17 - zeros
 
 
 def _digit_runs(text: str, n_digits: int) -> list[list[int]]:
     """Where the n_digits significant digits of a '%.17g' text sit, as
     ``[offset in text, offset in digits, length]`` runs."""
     mantissa = text.partition("e")[0]
-    first = next(i for i, c in enumerate(mantissa) if c in "123456789")
+    first = next((i for i, c in enumerate(mantissa) if c in "123456789"), len(mantissa))
     slots = [i for i in range(first, len(mantissa)) if mantissa[i].isdigit()]
     runs: list[list[int]] = []
     for j, i in enumerate(slots[:n_digits]):
@@ -169,22 +182,25 @@ def _digit_runs(text: str, n_digits: int) -> list[list[int]]:
     return runs
 
 
-def _format17_cells(values: np.ndarray, out: np.ndarray) -> None:
+def _format17_cells(values: np.ndarray, out: np.ndarray, layouts: dict) -> None:
     """Write ``format(x, '.17g')`` of each value, zero-padded to
     ``_CELL_WIDTH`` bytes, into the elements of ``out``, a 1-d array of
     that many bytes per element.
 
     Values sharing sign, decimal exponent and significant-digit count
-    share a layout, taken from Python's own text of one of them; the
-    others get their digits copied in.  Values ``_digits17`` cannot
-    decide are formatted one by one with ``_fmt17``."""
+    share a layout: Python's own text of the first value met with that
+    key, as bytes, and where its digits sit.  ``layouts`` keeps them by
+    key across calls; the other values get their digits copied in.
+    Zeros have two layouts of their own, '0' and '-0', with no digits.
+    Values ``_digits17`` cannot decide are formatted one by one with
+    ``_fmt17``."""
     x = np.asarray(values, dtype=float)
     ok, exponent, digits = _digits17(x)
-    words = _ascii17(digits)
-    text = words.view(np.uint8)[:, 3:]
-    n_digits = 17 - np.argmax(text[:, ::-1] != ord("0"), axis=1)
+    words, n_digits = _ascii17(digits)
+    zero = x == 0
+    n_digits[zero] = 0
     key = ((exponent + 300) * 18 + n_digits) * 2 + np.signbit(x)
-    key[~ok] = -1
+    key[~(ok | zero)] = -1
     key = key.astype(np.int16)
     # Sort rows by layout, so each layout fills one contiguous slice.
     order = np.argsort(key, kind="stable")
@@ -198,19 +214,27 @@ def _format17_cells(values: np.ndarray, out: np.ndarray) -> None:
                 fallback = _fmt17(value).encode()
                 cells[row, : len(fallback)] = list(fallback)
             continue
-        layout = _fmt17(x[order[start]].item())
-        cells[start:stop, : len(layout)] = np.frombuffer(layout.encode(), np.uint8)
-        for col, first, length in _digit_runs(layout, key[start] // 2 % 18):
+        layout = layouts.get(int(key[start]))
+        if layout is None:
+            sample = _fmt17(x[order[start]].item())
+            layout = np.frombuffer(sample.encode(), np.uint8), _digit_runs(sample, key[start] // 2 % 18)
+            layouts[int(key[start])] = layout
+        chars, runs = layout
+        cells[start:stop, : len(chars)] = chars
+        for col, first, length in runs:
             cells[start:stop, col : col + length] = text[start:stop, first : first + length]
     out[order] = cells.view(out.dtype)[:, 0]
 
 
-def _csv_text(header: str, columns: list[np.ndarray], n_rows: int) -> str:
+def _csv_blocks(header: str, columns: list[np.ndarray], n_rows: int) -> Iterator[bytes]:
     """The header line, then ``n_rows`` rows of the columns' values as
-    ``format(x, '.17g')``; a column shorter than ``n_rows`` leaves its
-    last cells empty.  Written column by column, a block of rows at a
-    time, with every number byte-identical to ``_fmt17``."""
-    chunks = [header.encode() + b"\n"]
+    ``format(x, '.17g')``, as ASCII bytes: the header, then one block of
+    ``CSV_BLOCK`` rows at a time, each formatted as it is asked for.  A
+    column shorter than ``n_rows`` leaves its last cells empty.  Written
+    column by column, with every number byte-identical to ``_fmt17``;
+    the blocks and columns share their layouts."""
+    layouts: dict[int, tuple[np.ndarray, list[list[int]]]] = {}
+    yield header.encode() + b"\n"
     for start in range(0, n_rows, CSV_BLOCK):
         block = np.zeros((min(CSV_BLOCK, n_rows - start), len(columns), _CELL_WIDTH + 1), np.uint8)
         block[:, :, -1] = ord(",")
@@ -220,22 +244,25 @@ def _csv_text(header: str, columns: list[np.ndarray], n_rows: int) -> str:
         for j, column in enumerate(columns):
             values = column[start : start + CSV_BLOCK]
             if len(values):
-                _format17_cells(values, cells[: len(values), j])
+                _format17_cells(values, cells[: len(values), j], layouts)
         flat = block.reshape(-1)
-        chunks.append(flat[flat != 0].tobytes())
-    return b"".join(chunks).decode("ascii")
+        yield flat[flat != 0].tobytes()
 
 
-def format_mesh_csv(mesh: Mesh) -> str:
-    """Rows ``i,xi,x,h`` with the width column empty on the last row."""
+def _csv_text(header: str, columns: list[np.ndarray], n_rows: int) -> str:
+    """``_csv_blocks`` joined into one string."""
+    return b"".join(_csv_blocks(header, columns, n_rows)).decode("ascii")
+
+
+def _mesh_table(mesh: Mesh) -> tuple[str, list[np.ndarray], int]:
     n = mesh.n_intervals
     index = np.arange(n + 1, dtype=float)  # '%.17g' prints these as str(i)
-    return _csv_text("i,xi,x,h", [index, index / n, mesh.nodes, mesh.widths], n + 1)
+    return "i,xi,x,h", [index, index / n, mesh.nodes, mesh.widths], n + 1
 
 
-def format_solution_csv(trajectory: Trajectory, problem: Problem) -> str:
-    """Rows ``x,y_numeric,y_exact,abs_error``; exact columns are empty when
-    the problem has no closed-form solution."""
+def _solution_table(
+    trajectory: Trajectory, problem: Problem
+) -> tuple[str, list[np.ndarray], int]:
     nodes, values = trajectory.mesh.nodes, trajectory.values
     if problem.exact is None:
         exact = gaps = np.empty(0)
@@ -243,9 +270,18 @@ def format_solution_csv(trajectory: Trajectory, problem: Problem) -> str:
         exact = exact_eval(problem, nodes)
         with np.errstate(invalid="ignore"):
             gaps = np.abs(exact - values)
-    return _csv_text(
-        "x,y_numeric,y_exact,abs_error", [nodes, values, exact, gaps], len(nodes)
-    )
+    return "x,y_numeric,y_exact,abs_error", [nodes, values, exact, gaps], len(nodes)
+
+
+def format_mesh_csv(mesh: Mesh) -> str:
+    """Rows ``i,xi,x,h`` with the width column empty on the last row."""
+    return _csv_text(*_mesh_table(mesh))
+
+
+def format_solution_csv(trajectory: Trajectory, problem: Problem) -> str:
+    """Rows ``x,y_numeric,y_exact,abs_error``; exact columns are empty when
+    the problem has no closed-form solution."""
+    return _csv_text(*_solution_table(trajectory, problem))
 
 
 def format_sweep_csv(table: convergence.ConvergenceTable) -> str:
@@ -294,8 +330,11 @@ def format_stability_line(
     )
 
 
-def run(args: argparse.Namespace) -> str:
-    """Execute a parsed command line and return the output text."""
+def run(args: argparse.Namespace) -> Iterable[bytes]:
+    """Execute a parsed command line and return its output as blocks of
+    UTF-8 bytes.  Every usage or numerical error is raised here: the
+    blocks, formatted as they are read, only print values already
+    computed."""
     labels = tuple(part.strip() for part in args.eps.split(",")) if args.eps else ()
     epsilons = tuple(parse_epsilon(part) for part in labels)
 
@@ -318,8 +357,8 @@ def run(args: argparse.Namespace) -> str:
             split=args.alpha,
         )
         if args.format == "md":
-            return format_sweep_markdown(table, labels)
-        return format_sweep_csv(table)
+            return [format_sweep_markdown(table, labels).encode()]
+        return [format_sweep_csv(table).encode()]
 
     if len(epsilons) > 1:
         raise UsageError("this command takes a single --eps value")
@@ -336,18 +375,19 @@ def run(args: argparse.Namespace) -> str:
         args.mesh, args.n_intervals, eps, args.mesh_order, args.mesh_b, args.alpha
     )
     if args.command == "mesh":
-        return format_mesh_csv(mesh)
+        return _csv_blocks(*_mesh_table(mesh))
     problem = make_builtin(args.problem, eps)
     trajectory = integrate(args.scheme, problem, mesh)
     if args.command == "solve":
-        return format_solution_csv(trajectory, problem)
-    return format_stability_line(
+        return _csv_blocks(*_solution_table(trajectory, problem))
+    line = format_stability_line(
         args.scheme,
         eps,
         mesh.n_intervals,
         convergence.oscillation_count(trajectory),
         convergence.max_error(trajectory, problem),
     )
+    return [line.encode()]
 
 
 def _add_common(sub: argparse.ArgumentParser, *, with_scheme: bool = True):
@@ -411,7 +451,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        text = run(args)
+        blocks = run(args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -420,14 +460,29 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERICAL
     if args.out:
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            with open(args.out, "wb") as fh:
+                _write_blocks(fh, blocks)
         except OSError as exc:
             print(f"error: cannot write {args.out!r}: {exc.strerror}", file=sys.stderr)
             return EXIT_USAGE
-    else:
-        sys.stdout.write(text)
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()  # text written before stays ahead of these bytes
+        _write_blocks(sys.stdout.buffer, blocks)
+    else:  # a text-only stream, such as io.StringIO
+        for block in blocks:
+            sys.stdout.write(block.decode())
     return EXIT_OK
+
+
+def _write_blocks(stream, blocks: Iterable[bytes]) -> None:
+    """Write each block to a binary stream as it comes, repeating short
+    writes (a raw, unbuffered stream may take part of a block) until
+    every byte is written, then flush."""
+    for block in blocks:
+        view = memoryview(block)
+        while view:
+            view = view[stream.write(view) :]
+    stream.flush()
 
 
 if __name__ == "__main__":

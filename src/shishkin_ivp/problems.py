@@ -35,7 +35,10 @@ class Problem:
 
     ``linear`` optionally carries coefficient functions (p, q) with
     f(x, y) = p(x)*y + q(x); ``exact`` optionally carries the closed-form
-    solution x -> y(x, eps).
+    solution x -> y(x, eps).  Given an array, p and q must return a fresh
+    array on every call: the linear-problem kernel keeps each stage's
+    result, so a callback that fills one reused buffer makes every stage
+    see the last one's values and integrates a different problem.
     """
 
     epsilon: float
@@ -66,9 +69,10 @@ class Problem:
                     f"exact({self.x0}) = {y_start!r} does not match y0 = {self.y0!r}"
                 )
         if self.linear is not None:
-            # Spot-check the advertised linear form at the domain ends.
+            # Spot-check the advertised linear form at the domain ends and
+            # the midpoint.
             with np.errstate(all="ignore"):
-                for x in (self.x0, 0.5 * (self.x0 + self.domain_end)):
+                for x in (self.x0, 0.5 * (self.x0 + self.domain_end), self.domain_end):
                     p, q = linear_coeffs_eval(self, x)
                     r = self.rhs(x, self.y0)
                     if abs(r - (p * self.y0 + q)) > 1e-12 * (1.0 + abs(r)):
@@ -153,7 +157,10 @@ def linear_coeffs_eval(problem: Problem, x: float) -> tuple[float, float]:
 def array_eval(fn: Callable, x: np.ndarray) -> np.ndarray | None:
     """``fn`` on the whole array ``x``, as float64 of its shape (a float64
     result of that shape as it is: maybe ``x``, never to be written); None
-    if ``fn`` rejects arrays (TypeError, ValueError, unbroadcastable shape)."""
+    if ``fn`` rejects arrays (TypeError, ValueError, unbroadcastable shape).
+
+    The result is not copied, so ``fn`` must return a fresh array on each
+    call: callers keep results from several calls side by side."""
     try:
         value = np.asarray(fn(x), dtype=float)
         return value if value.shape == x.shape else np.broadcast_to(value, x.shape)

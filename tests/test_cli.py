@@ -1,5 +1,6 @@
 """Tests for the command-line interface: parsing, formats, exit codes."""
 
+import contextlib
 import csv
 import importlib.util
 import io
@@ -11,10 +12,12 @@ import pytest
 
 from shishkin_ivp import (
     build_shishkin_mesh,
+    integrate,
     make_builtin,
     run_sweep,
     ShishkinParams,
 )
+from shishkin_ivp import cli
 from shishkin_ivp.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main, parse_epsilon
 
 
@@ -306,6 +309,92 @@ class TestOutputHandling:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "i,xi,x,h"
+
+
+class TestStreamedOutput:
+    """``mesh`` and ``solve`` write their CSV as bytes, a block at a time:
+    the same bytes as the ``format_*`` functions, to stdout or ``--out``,
+    and nothing at all when the run fails."""
+
+    EPS = 2.0**-8
+    N = 2**12
+
+    def expected(self, command):
+        mesh = build_shishkin_mesh(ShishkinParams(n_intervals=self.N, epsilon=self.EPS))
+        if command == "mesh":
+            return cli.format_mesh_csv(mesh).encode()
+        problem = make_builtin("layer1", self.EPS)
+        trajectory = integrate("gauss2", problem, mesh)
+        return cli.format_solution_csv(trajectory, problem).encode()
+
+    def args(self, command):
+        args = [command, "--n-intervals", str(self.N), "--eps", "2^-8"]
+        return args + (["--scheme", "gauss2"] if command == "solve" else [])
+
+    @pytest.mark.parametrize("block", [16384, 1000])
+    @pytest.mark.parametrize("command", ["mesh", "solve"])
+    def test_bytes_match_the_format_functions(
+        self, command, block, monkeypatch, tmp_path, capsysbinary
+    ):
+        monkeypatch.setattr(cli, "CSV_BLOCK", block)
+        expected = self.expected(command)
+        assert main(self.args(command)) == EXIT_OK
+        captured = capsysbinary.readouterr()
+        assert captured.out == expected and captured.err == b""
+        target = tmp_path / "out.csv"
+        assert main(self.args(command) + ["--out", str(target)]) == EXIT_OK
+        assert capsysbinary.readouterr().out == b""
+        assert target.read_bytes() == expected
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["solve", "--scheme", "heun", "--mesh", "uniform", "--n-intervals", "64",
+              "--eps", "2^-30"], EXIT_NUMERICAL),
+            (["solve", "--scheme", "gauss2", "--eps", "2^-1074", "--n-intervals",
+              str(2**20)], EXIT_USAGE),
+            (["mesh", "--n-intervals", "8", "--eps", "2^-4", "--mesh-b", "inf"],
+             EXIT_USAGE),
+        ],
+    )
+    def test_failing_run_writes_nothing(self, args, code, tmp_path, capsysbinary):
+        assert main(args) == code
+        assert capsysbinary.readouterr().out == b""
+        target = tmp_path / "out.csv"
+        assert main(args + ["--out", str(target)]) == code
+        assert capsysbinary.readouterr().out == b""
+        assert not target.exists()
+
+    def test_short_writes_are_repeated(self, monkeypatch):
+        class ShortWrites(io.RawIOBase):
+            """A raw stream that takes at most 1000 bytes per write."""
+
+            def __init__(self):
+                self.data = bytearray()
+
+            def writable(self):
+                return True
+
+            def write(self, data):
+                taken = bytes(data[:1000])
+                self.data += taken
+                return len(taken)
+
+        class Stdout:
+            buffer = ShortWrites()
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", Stdout())
+        assert main(self.args("solve")) == EXIT_OK
+        assert bytes(Stdout.buffer.data) == self.expected("solve")
+
+    @pytest.mark.parametrize("command", ["mesh", "solve"])
+    def test_text_only_stdout(self, command):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(self.args(command)) == EXIT_OK
+        assert out.getvalue() == self.expected(command).decode()
 
 
 @pytest.mark.parametrize("key", list(CLI_GOLDENS))

@@ -1,10 +1,11 @@
 """Differential tests of the CLI's column-at-a-time CSV writer against
 ``format(x, '.17g')``: byte for byte, with no tolerance.
 
-The writer computes 17 digits from a double-double product and leaves to
-the scalar formatter every value it cannot decide (zero, non-finite,
-subnormal or extreme magnitudes, a wrong decade estimate, remainders
-near one half).  The curated arrays aim at each of those boundaries.
+The writer computes 17 digits from a double-double product, gives zeros
+their own layouts, and leaves to the scalar formatter every value it
+cannot decide (non-finite, subnormal or extreme magnitudes, a wrong
+decade estimate, remainders near one half).  The curated arrays aim at
+each of those boundaries.
 """
 
 import dataclasses
@@ -175,6 +176,69 @@ class TestCuratedValues:
     def test_random_bit_patterns(self):
         bits = np.random.default_rng(11).integers(0, 2**64, 2**16, dtype=np.uint64)
         assert_formats_like_python(bits.view(np.float64))
+
+
+class TestFastPathEdges:
+    """Zeros, the layout cache and the ends of the pow10 table."""
+
+    def test_signed_zeros_among_values_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(cli, "CSV_BLOCK", 1000)
+        rng = np.random.default_rng(5)
+        values = rng.normal(size=4500) * 10.0 ** rng.integers(-20, 20, 4500)
+        values[rng.random(4500) < 0.2] = 0.0
+        values[rng.random(4500) < 0.2] = -0.0
+        values[:4] = [0.0, -0.0, -0.0, 0.0]
+        assert np.signbit(values[values == 0]).sum() > 500
+        calls = []
+        monkeypatch.setattr(cli, "_fmt17", lambda x: calls.append(x) or format(x, ".17g"))
+        assert_formats_like_python(values)
+        # Zeros take the fast path: '0' and '-0' are two layouts, not
+        # hundreds of one-value fallbacks.
+        assert sum(1 for x in calls if x == 0) <= 2
+
+    def test_cached_layouts_reused_from_other_members(self, monkeypatch):
+        """One table holds a column, the column reversed, an unrelated
+        column and the column again, across several blocks: the later
+        columns take every layout of the first from the shared cache,
+        built from other members of each group."""
+        monkeypatch.setattr(cli, "CSV_BLOCK", 700)
+        rng = np.random.default_rng(6)
+        column = signed(rng.random(1500) * 10.0 ** rng.integers(-6, 18, 1500))
+        column = np.append(column, [0.0, -0.0, 1.5, 1e16, 123456.0])
+        column = column[cli._digits17(column)[0] | (column == 0)]  # no fallbacks
+        other = rng.normal(size=len(column)) * 1e-9
+        calls = []
+        monkeypatch.setattr(cli, "_fmt17", lambda x: calls.append(x) or format(x, ".17g"))
+        alone = cli._csv_text("a", [column], len(column))
+        n_layouts = len(calls)
+        calls.clear()
+        columns = [column, column[::-1], other, column]
+        text = cli._csv_text("a,b,c,d", columns, len(column))
+        expected = ["a,b,c,d"] + [
+            ",".join(format(v, ".17g") for v in row) for row in zip(*(c.tolist() for c in columns))
+        ]
+        assert text == "\n".join(expected) + "\n"
+        assert alone == "\n".join(["a"] + [format(v, ".17g") for v in column.tolist()]) + "\n"
+        assert 0 < n_layouts < len(column) // 10
+        assert len([x for x in calls if x in set(column.tolist())]) == n_layouts
+
+    def test_ends_of_the_pow10_table(self):
+        """The extreme decades of the fast range take their powers from
+        the table's first and last used rows, exactly like Python."""
+        edges = np.array([1e-270, 1e270])
+        steps = np.arange(1, 9) * 1e-9
+        fast = np.concatenate([edges, 1e-270 * (1 + steps), 1e270 * (1 - steps)])
+        ok, exponent, _ = cli._digits17(fast)
+        assert ok.all()
+        assert exponent.min() == -270 and exponent.max() == 270
+        assert cli._DECADES[0] < -270 and 270 < cli._DECADES[1]
+        assert_formats_like_python(signed(neighbours(fast)))
+        hi, lo = cli._pow10_table()
+        assert len(hi) == cli._DECADES[1] - cli._DECADES[0] + 1
+        for index in (0, 1, len(hi) - 2, len(hi) - 1):
+            power = Fraction(10) ** (16 - cli._DECADES[0] - index)
+            pair = Fraction(hi[index]) + Fraction(lo[index])
+            assert abs(pair - power) <= power * Fraction(1, 2**104)
 
 
 class TestProperties:

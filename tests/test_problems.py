@@ -232,6 +232,17 @@ class TestProblemValidation:
                 linear=(lambda x: -1.0, lambda x: 3.0),
             )
 
+    def test_linear_form_is_checked_at_the_domain_end(self):
+        """A form that agrees with rhs at x0 and the midpoint only."""
+        with pytest.raises(ValueError, match="disagrees with rhs at x=1.0"):
+            Problem(
+                epsilon=1.0,
+                x0=0.0,
+                y0=1.0,
+                rhs=lambda x, y: -y + (5.0 if x > 0.9 else 0.0),
+                linear=(lambda x: -1.0, lambda x: 0.0),
+            )
+
 
 @pytest.mark.parametrize("name", ["decay", "layer1"])
 @pytest.mark.parametrize("eps", [1.0, 2.0**-3, 2.0**-8])
