@@ -21,7 +21,8 @@ SIGMA_CAP = 0.5
 MESH_UNIFORM = "uniform"
 MESH_SHISHKIN = "shishkin"
 
-#: Absolute tolerance for the sum-of-widths / node-span consistency checks.
+#: Tolerance of the width / node-difference and sum-of-widths / node-span
+#: consistency checks on the unit interval; see width_tolerance.
 WIDTH_CONSISTENCY_ATOL = 1e-12
 
 
@@ -89,6 +90,12 @@ class Mesh:
     kind: str
     sigma: float | None = None
 
+    #: True only on the builders' meshes, whose nodes are single-rounding
+    #: multiples of the stored widths, so that their differences are a few
+    #: ulps of max|x| from them: integrate skips inconsistent_widths for
+    #: these.  Not a field: a Mesh built or replaced by hand is checked.
+    _widths_match_nodes = False
+
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
         widths = np.asarray(self.widths, dtype=float)
@@ -102,6 +109,12 @@ class Mesh:
     @property
     def n_intervals(self) -> int:
         return len(self.widths)
+
+
+def _built(nodes, widths, kind: str, sigma: float | None) -> Mesh:
+    mesh = Mesh(nodes=nodes, widths=widths, kind=kind, sigma=sigma)
+    object.__setattr__(mesh, "_widths_match_nodes", True)
+    return mesh
 
 
 def transition_point(params: ShishkinParams) -> float:
@@ -172,12 +185,7 @@ def build_from_sigma(n_intervals: int, alpha: float, sigma: float) -> Mesh:
             "the mesh nodes would repeat"
         )
     widths = np.concatenate([np.full(m, h_fine), np.full(n_intervals - m, h_coarse)])
-    return Mesh(
-        nodes=nodes,
-        widths=widths,
-        kind=MESH_SHISHKIN,
-        sigma=sigma,
-    )
+    return _built(nodes, widths, MESH_SHISHKIN, sigma)
 
 
 def build_shishkin_mesh(params: ShishkinParams) -> Mesh:
@@ -211,12 +219,26 @@ def build_uniform_mesh(
             f"interval [{x_lo}, {x_hi}] is too short for {n_intervals} "
             "intervals: the mesh nodes would repeat"
         )
-    return Mesh(
-        nodes=nodes,
-        widths=np.full(n_intervals, h),
-        kind=MESH_UNIFORM,
-        sigma=None,
-    )
+    return _built(nodes, np.full(n_intervals, h), MESH_UNIFORM, None)
+
+
+def width_tolerance(nodes: np.ndarray) -> float:
+    """WIDTH_CONSISTENCY_ATOL * max(1, |x_0|, |x_N|): absolute on the unit
+    interval, relative beyond it, where every node, and so every node
+    difference, carries rounding of the mesh's largest magnitude."""
+    return WIDTH_CONSISTENCY_ATOL * max(1.0, abs(nodes[0]), abs(nodes[-1]))
+
+
+def inconsistent_widths(nodes: np.ndarray, widths: np.ndarray) -> list[int]:
+    """The indices i at which widths[i] and the node difference
+    x_{i+1} - x_i differ by more than ``width_tolerance(nodes)``, or by nan."""
+    gap = nodes[1:] - nodes[:-1]
+    gap -= widths
+    np.abs(gap, out=gap)
+    tolerance = width_tolerance(nodes)
+    if not gap.size or gap.max() <= tolerance:  # nan fails
+        return []
+    return np.flatnonzero(~(gap <= tolerance)).tolist()
 
 
 def validate_mesh(
@@ -240,13 +262,12 @@ def validate_mesh(
         report.append(f"right endpoint is {nodes[-1]!r}, expected {x_end!r}")
     for i in np.nonzero(widths <= 0.0)[0]:
         report.append(f"nonpositive width at index {i}")
-    gap = np.abs(widths - diffs)
-    for i in np.nonzero(gap > WIDTH_CONSISTENCY_ATOL)[0]:
+    for i in inconsistent_widths(nodes, widths):
         report.append(
             f"width {widths[i]!r} inconsistent with node difference "
             f"{diffs[i]!r} at index {i}"
         )
     total = abs(float(np.sum(widths)) - (nodes[-1] - nodes[0]))
-    if total > WIDTH_CONSISTENCY_ATOL:
+    if total > width_tolerance(nodes):
         report.append(f"sum of widths deviates from node span by {total:.3e}")
     return report

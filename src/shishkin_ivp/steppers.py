@@ -31,7 +31,7 @@ from itertools import islice
 
 import numpy as np
 
-from .mesh import Mesh
+from .mesh import Mesh, inconsistent_widths
 from .problems import (
     DOMAIN_TOL,
     EvaluationError,
@@ -473,7 +473,10 @@ def integrate(scheme: str, problem: Problem, mesh: Mesh) -> Trajectory:
     that fails, or whose result is not finite, is redone by that function,
     which calls ``rhs`` again), ``gauss2_linear_step`` for ``gauss2`` (so
     it requires a linear problem).  Blow-ups raise with the failing
-    ``step N``.
+    ``step N``.  A mesh not made by the mesh builders whose widths
+    disagree with its node differences (``mesh.inconsistent_widths``)
+    raises ValueError, after the scalar driver's own error if any step
+    fails the step rule.
     """
     nodes = mesh.nodes
     if (
@@ -485,14 +488,25 @@ def integrate(scheme: str, problem: Problem, mesh: Mesh) -> Trajectory:
             f"[{problem.x0}, {problem.domain_end}]"
         )
     tableau = named_tableau(scheme)
+    scalar_driver = (
+        partial(_explicit_integrate, tableau) if tableau.explicit else _gauss2_scalar_integrate
+    )
+    mismatched = [] if mesh._widths_match_nodes else inconsistent_widths(nodes, mesh.widths)
+    if mismatched:
+        # A mesh that fails the step rule keeps the scalar driver's error
+        # (gauss2's driver accepts h = 0, which the rule does not).
+        if _step_checks(problem, (), nodes[:-1], mesh.widths)[1]:
+            scalar_driver(problem, mesh)
+        i = mismatched[0]
+        raise ValueError(
+            f"mesh width {float(mesh.widths[i])!r} inconsistent with node "
+            f"difference {float(nodes[i + 1] - nodes[i])!r} at index {i}"
+        )
     values = None
     if problem.linear is not None:
         values = _affine_integrate(tableau, problem, mesh)
     if values is None:
-        if tableau.explicit:
-            values = _explicit_integrate(tableau, problem, mesh)
-        else:
-            values = _gauss2_scalar_integrate(problem, mesh)
+        values = scalar_driver(problem, mesh)
     return Trajectory(
         mesh=mesh,
         values=values,

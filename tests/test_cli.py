@@ -2,8 +2,11 @@
 
 import contextlib
 import csv
+import gc
 import importlib.util
 import io
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -395,6 +398,69 @@ class TestStreamedOutput:
         with contextlib.redirect_stdout(io.StringIO()) as out:
             assert main(self.args(command)) == EXIT_OK
         assert out.getvalue() == self.expected(command).decode()
+
+
+# Runs the CLI in a fresh process, as ``python -m shishkin_ivp.cli`` does
+# (``runpy``) or as a console script calling "module:function" does, and
+# reports the exit code and the collector's freeze count on stderr's last
+# line.
+_ENTRY_RUNNER = """
+import gc, importlib, runpy, sys
+how, sys.argv = sys.argv[1], ["shishkin-ivp", *sys.argv[2:]]
+try:
+    if how == "runpy":
+        runpy.run_module("shishkin_ivp.cli", run_name="__main__", alter_sys=True)
+        code = 0
+    else:
+        module, _, name = how.partition(":")
+        code = getattr(importlib.import_module(module), name)()
+except SystemExit as exc:
+    code = exc.code
+print(code or 0, gc.get_freeze_count(), file=sys.stderr)
+"""
+
+
+class TestProcessEntry:
+    """Both process entry paths call the function that freezes the
+    import-time heap; ``main`` itself leaves the collector alone, and all
+    three give the same stdout bytes and exit code."""
+
+    CASES = [
+        ["solve", "--scheme", "gauss2", "--n-intervals", "256", "--eps", "2^-8"],
+        ["mesh", "--n-intervals", "8", "--eps", "2^-4", "--mesh-b", "inf"],
+        ["solve", "--scheme", "heun", "--mesh", "uniform", "--n-intervals", "64",
+         "--eps", "2^-30"],
+    ]
+
+    @staticmethod
+    def script_target():
+        """The "module:function" that [project.scripts] installs as
+        shishkin-ivp, read as text (Python 3.10 has no tomllib)."""
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        return re.search(r'^shishkin-ivp\s*=\s*"([\w.]+:\w+)"', text, re.M).group(1)
+
+    @pytest.mark.parametrize("args", CASES)
+    def test_main_does_not_freeze(self, args, capsysbinary):
+        before = gc.get_freeze_count()
+        main(args)
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("how", ["runpy", "script"])
+    @pytest.mark.parametrize("args", CASES)
+    def test_process_entry_freezes_and_prints_the_same(self, how, args, capsysbinary):
+        expected_code = main(args)
+        expected_out = capsysbinary.readouterr().out
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        target = "runpy" if how == "runpy" else self.script_target()
+        proc = subprocess.run(
+            [sys.executable, "-c", _ENTRY_RUNNER, target, *args],
+            capture_output=True, env=env,
+        )
+        code, frozen = map(int, proc.stderr.split(b"\n")[-2].split())
+        assert (code, proc.stdout) == (expected_code, expected_out)
+        assert frozen > 0
 
 
 @pytest.mark.parametrize("key", list(CLI_GOLDENS))

@@ -300,6 +300,48 @@ class TestGate:
                 integrate(scheme, problem, bad)
             assert str(raised.value) == str(expected.value)
 
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    def test_inconsistent_widths_raise(self, scheme):
+        """Widths that disagree with the node differences are rejected,
+        though every step they give stays inside the domain, also on a
+        builder's mesh with its widths replaced."""
+        bad = Mesh(nodes=np.array([0.0, 0.5, 1.0]), widths=np.array([0.5, 0.4]), kind="uniform")
+        replaced = dataclasses.replace(build_uniform_mesh(2), widths=bad.widths)
+        for mesh in bad, replaced:
+            oracle(scheme, make_builtin("layer1", 0.5), mesh)  # the steps themselves pass
+            with pytest.raises(ValueError, match="width 0.4 inconsistent with node difference 0.5 at index 1"):
+                integrate(scheme, make_builtin("layer1", 0.5), mesh)
+
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    @pytest.mark.parametrize("n", [3, 6, 9])
+    def test_width_tolerance_scales_with_the_nodes(self, scheme, n):
+        """On [0, 1e6] a uniform mesh's widths and node differences differ
+        by up to ~1e-10, within the tolerance scaled by 1e6.  Copied by
+        hand, so that integrate checks its widths, such a mesh passes the
+        step rule and integrates as the oracle does."""
+        built = build_uniform_mesh(n, (0.0, 1e6))
+        mesh = Mesh(nodes=built.nodes, widths=built.widths, kind="uniform")
+        assert np.abs(mesh.widths - np.diff(mesh.nodes)).max() > 1e-12
+        problem = dataclasses.replace(make_builtin("decay", 1.0), domain_end=1e6)
+        assert check_against_oracle(scheme, problem, mesh) != "raised"
+        assert np.array_equal(integrate(scheme, problem, mesh).values,
+                              integrate(scheme, problem, built).values)
+
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    def test_step_rule_error_comes_first(self, scheme):
+        """Widths 1e-3 too long on the 7-interval uniform mesh on [0, 1e6]
+        end its last step past 1e6 (the builder's own widths already do,
+        by 1.2e-10, beyond the absolute DOMAIN_TOL): the step's error, not
+        a width error."""
+        built = build_uniform_mesh(7, (0.0, 1e6))
+        mesh = Mesh(nodes=built.nodes, widths=built.widths + 1e-3, kind="uniform")
+        problem = dataclasses.replace(make_builtin("decay", 1.0), domain_end=1e6)
+        with pytest.raises(ValueError, match="leaves the domain") as expected:
+            oracle(scheme, problem, mesh)
+        with pytest.raises(ValueError) as raised:
+            integrate(scheme, problem, mesh)
+        assert str(raised.value) == str(expected.value)
+
 
 def kernel_block(tableau, problem, x, h):
     """The kernel's coefficient layer on one block: the stage abscissae,

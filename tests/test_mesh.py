@@ -17,7 +17,7 @@ from shishkin_ivp import (
     transition_point,
     validate_mesh,
 )
-from shishkin_ivp.mesh import WIDTH_CONSISTENCY_ATOL
+from shishkin_ivp.mesh import WIDTH_CONSISTENCY_ATOL, inconsistent_widths
 
 
 def params(n=2**10, eps=2.0**-10, order=2, b=1.0, alpha=0.5):
@@ -272,6 +272,41 @@ class TestValidateMesh:
         mesh = Mesh(nodes=nodes, widths=np.array([0.5, 0.499]), kind="uniform")
         report = validate_mesh(mesh)
         assert any("inconsistent" in line for line in report)
+
+    def test_width_tolerance_on_the_unit_interval(self):
+        """For |x| <= 1 the tolerance is WIDTH_CONSISTENCY_ATOL itself."""
+        nodes = np.array([0.0, 0.5, 1.0])
+        for offset, flagged in [(0.5e-12, []), (2e-12, [1])]:
+            widths = np.array([0.5, 0.5 + offset])
+            assert inconsistent_widths(nodes, widths) == flagged
+        assert np.abs(0.5 + 2e-12 - 0.5) > WIDTH_CONSISTENCY_ATOL
+
+    def test_width_tolerance_scales_with_the_nodes(self):
+        """Node differences on [0, 1e6] carry ~1e-10 of rounding, within
+        WIDTH_CONSISTENCY_ATOL * 1e6; a width off by 1e-3 is not."""
+        mesh = build_uniform_mesh(6, (0.0, 1e6))
+        assert np.abs(mesh.widths - np.diff(mesh.nodes)).max() > WIDTH_CONSISTENCY_ATOL
+        assert validate_mesh(mesh, 0.0, 1e6) == []
+        widths = mesh.widths.copy()
+        widths[2] += 1e-3
+        bad = Mesh(nodes=mesh.nodes, widths=widths, kind="uniform")
+        assert inconsistent_widths(bad.nodes, bad.widths) == [2]
+
+    @pytest.mark.parametrize(
+        "span", [(0.0, 1.0), (0.0, 1e6), (-3.7e5, 2.1e8), (1e-300, 3e-300), (-1e300, 1e300)]
+    )
+    def test_uniform_builder_widths_match_nodes(self, span):
+        """integrate skips the width check on builders' meshes: their nodes
+        are single-rounding multiples of the stored widths."""
+        for n in (1, 3, 7, 1000, 2**12 + 1):
+            mesh = build_uniform_mesh(n, span)
+            assert inconsistent_widths(mesh.nodes, mesh.widths) == [], n
+
+    def test_nan_node_is_inconsistent(self):
+        nodes = np.array([0.0, np.nan, 1.0])
+        mesh = Mesh(nodes=nodes, widths=np.array([0.5, 0.5]), kind="uniform")
+        assert inconsistent_widths(mesh.nodes, mesh.widths) == [0, 1]
+        assert sum("inconsistent" in line for line in validate_mesh(mesh)) == 2
 
     def test_valid_is_empty(self):
         assert validate_mesh(build_uniform_mesh(4)) == []
