@@ -170,21 +170,27 @@ def build_from_sigma(n_intervals: int, alpha: float, sigma: float) -> Mesh:
         )
     h_fine = sigma / m
     h_coarse = (1.0 - sigma) / (n_intervals - m)
-    fine = h_fine * np.arange(m + 1)
-    fine[m] = sigma
-    coarse = sigma + h_coarse * np.arange(1, n_intervals - m + 1)
-    coarse[-1] = 1.0
-    nodes = np.concatenate([fine, coarse])
+    # Node i is i*h_fine on the fine piece and sigma + (i - m)*h_coarse on
+    # the coarse one, written in place from the float indices.
+    nodes = np.arange(n_intervals + 1, dtype=float)
+    nodes[: m + 1] *= h_fine
+    coarse = nodes[m + 1 :]
+    coarse -= m
+    coarse *= h_coarse
+    coarse += sigma
+    nodes[m] = sigma
+    nodes[-1] = 1.0
     # Within a piece the nodes are rounded multiples of one positive width,
     # so they can only repeat if that width is zero or at the three pinned
     # nodes (sigma, its right neighbour, and 1).
-    pinned = np.array([m - 1, m, n_intervals - 1])
-    if not (h_fine > 0.0 and np.all(nodes[pinned] < nodes[pinned + 1])):
+    if not (h_fine > 0.0 and nodes[m - 1] < nodes[m] < nodes[m + 1] and nodes[-2] < nodes[-1]):
         raise ValueError(
             f"sigma = {sigma!r} is too small for {m} fine intervals: "
             "the mesh nodes would repeat"
         )
-    widths = np.concatenate([np.full(m, h_fine), np.full(n_intervals - m, h_coarse)])
+    widths = np.empty(n_intervals)
+    widths[:m] = h_fine
+    widths[m:] = h_coarse
     return _built(nodes, widths, MESH_SHISHKIN, sigma)
 
 
@@ -212,9 +218,11 @@ def build_uniform_mesh(
         raise ValueError(
             f"interval [{x_lo}, {x_hi}] gives width {h} for {n_intervals} intervals"
         )
-    nodes = x_lo + h * np.arange(n_intervals + 1)
+    nodes = np.arange(n_intervals + 1, dtype=float)
+    nodes *= h
+    nodes += x_lo
     nodes[-1] = x_hi
-    if not np.all(nodes[:-1] < nodes[1:]):
+    if not (nodes[:-1] < nodes[1:]).all():
         raise ValueError(
             f"interval [{x_lo}, {x_hi}] is too short for {n_intervals} "
             "intervals: the mesh nodes would repeat"
@@ -257,15 +265,15 @@ def validate_mesh(
     for i in np.nonzero(diffs <= 0.0)[0]:
         report.append(f"nodes not strictly increasing at index {i + 1}")
     if nodes[0] != x_start:
-        report.append(f"left endpoint is {nodes[0]!r}, expected {x_start!r}")
+        report.append(f"left endpoint is {float(nodes[0])!r}, expected {x_start!r}")
     if nodes[-1] != x_end:
-        report.append(f"right endpoint is {nodes[-1]!r}, expected {x_end!r}")
+        report.append(f"right endpoint is {float(nodes[-1])!r}, expected {x_end!r}")
     for i in np.nonzero(widths <= 0.0)[0]:
         report.append(f"nonpositive width at index {i}")
     for i in inconsistent_widths(nodes, widths):
         report.append(
-            f"width {widths[i]!r} inconsistent with node difference "
-            f"{diffs[i]!r} at index {i}"
+            f"width {float(widths[i])!r} inconsistent with node difference "
+            f"{float(diffs[i])!r} at index {i}"
         )
     total = abs(float(np.sum(widths)) - (nodes[-1] - nodes[0]))
     if total > width_tolerance(nodes):

@@ -20,7 +20,8 @@ import numpy as np
 #: Names of the built-in test problems.
 BUILTIN_NAMES = ("decay", "layer1")
 
-#: Slack allowed when checking that an abscissa lies inside the domain.
+#: Slack allowed when checking that an abscissa lies inside the domain,
+#: on the unit interval; see domain_slack.
 DOMAIN_TOL = 1e-12
 
 
@@ -35,10 +36,11 @@ class Problem:
 
     ``linear`` optionally carries coefficient functions (p, q) with
     f(x, y) = p(x)*y + q(x); ``exact`` optionally carries the closed-form
-    solution x -> y(x, eps).  Given an array, p and q must return a fresh
-    array on every call: the linear-problem kernel keeps each stage's
-    result, so a callback that fills one reused buffer makes every stage
-    see the last one's values and integrates a different problem.
+    solution x -> y(x, eps).  The linear-problem kernel calls p once and q
+    once per block of intervals, each on a 1-d array of all the block's
+    stage abscissae; they must work elementwise and return a fresh array
+    on every call: the kernel keeps p's result while it evaluates q, so a
+    p and q that fill one shared buffer integrate a different problem.
     """
 
     epsilon: float
@@ -62,6 +64,10 @@ class Problem:
             raise ValueError(
                 f"domain_end must exceed x0, got [{self.x0}, {self.domain_end}]"
             )
+        # domain_bounds, computed once: the scalar steps test it at every
+        # stage.
+        slack = domain_slack(self)
+        object.__setattr__(self, "_bounds", (self.x0 - slack, self.domain_end + slack))
         if self.exact is not None:
             y_start = self.exact(self.x0)
             if abs(y_start - self.y0) > 1e-12:
@@ -85,10 +91,17 @@ class Problem:
         return f"{self.label}(eps={self.epsilon:.17g})"
 
 
+def domain_slack(problem: Problem) -> float:
+    """DOMAIN_TOL * max(1, |x0|, |domain_end|): absolute on the unit
+    interval, relative beyond it, where a mesh's last x + h carries
+    rounding of the domain's largest magnitude."""
+    return DOMAIN_TOL * max(1.0, abs(problem.x0), abs(problem.domain_end))
+
+
 def domain_bounds(problem: Problem) -> tuple[float, float]:
-    """The domain [x0, domain_end] widened by ``DOMAIN_TOL`` at each end:
+    """The domain [x0, domain_end] widened by ``domain_slack`` at each end:
     the abscissae at which the problem may be evaluated."""
-    return problem.x0 - DOMAIN_TOL, problem.domain_end + DOMAIN_TOL
+    return problem._bounds
 
 
 def _check_domain(problem: Problem, x: float):
@@ -156,14 +169,23 @@ def linear_coeffs_eval(problem: Problem, x: float) -> tuple[float, float]:
 
 def array_eval(fn: Callable, x: np.ndarray) -> np.ndarray | None:
     """``fn`` on the whole array ``x``, as float64 of its shape (a float64
-    result of that shape as it is: maybe ``x``, never to be written); None
-    if ``fn`` rejects arrays (TypeError, ValueError, unbroadcastable shape).
+    result of that shape as it is: maybe ``x``, never to be written; a
+    scalar or other broadcastable result filled into a new array); None if
+    ``fn`` rejects arrays (TypeError, ValueError, unbroadcastable shape).
 
-    The result is not copied, so ``fn`` must return a fresh array on each
-    call: callers keep results from several calls side by side."""
+    The kernel passes one 1-d array of all stage abscissae of a block, so
+    ``fn`` must work elementwise.  The result is not copied, so ``fn``
+    must return a fresh array on each call: callers keep results from
+    several calls side by side."""
     try:
         value = np.asarray(fn(x), dtype=float)
-        return value if value.shape == x.shape else np.broadcast_to(value, x.shape)
+        if value.shape == x.shape:
+            return value
+        if value.ndim > x.ndim:  # np.broadcast_to's rule; assignment would drop 1s
+            return None
+        filled = np.empty(x.shape)
+        filled[...] = value
+        return filled
     except (TypeError, ValueError):
         return None
 

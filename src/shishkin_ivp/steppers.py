@@ -33,11 +33,11 @@ import numpy as np
 
 from .mesh import Mesh, inconsistent_widths
 from .problems import (
-    DOMAIN_TOL,
     EvaluationError,
     Problem,
     array_eval,
     domain_bounds,
+    domain_slack,
     linear_coeffs_eval,
     rhs_eval,
 )
@@ -178,17 +178,35 @@ def gauss2_linear_step(
 
 
 def _step_checks(problem: Problem, c, x, h):
-    """The stage abscissae x + c_j*h of a block of intervals, and a list of
-    the indices of those that fail the one rule for every tableau: h > 0,
-    and x, x + h and every stage abscissa inside the domain (the checks of
-    the step functions and rhs_eval, with h = 0 left to gauss2_linear_step).
-    It relies on 0 <= c_j <= 1, true of every named tableau (README.md)."""
+    """The stage abscissae of a block of intervals, one (s, n) array whose
+    row j is x + c_j*h, and a list of the indices of the intervals that
+    fail the one rule for every tableau: h > 0, and x, x + h and every
+    stage abscissa inside the domain (the checks of the step functions and
+    rhs_eval, with h = 0 left to gauss2_linear_step).  It relies on
+    0 <= c_j <= 1, true of every named tableau (README.md)."""
     lo, hi = domain_bounds(problem)
-    end = x + h
-    stage_x = [x + c_j if c_j == 0.0 else end if c_j == 1.0 else x + c_j * h for c_j in c]
+    stage_x = np.empty((len(c), len(x)))
+    end = None
+    for row, c_j in zip(stage_x, c):
+        if c_j == 0.0:
+            np.add(x, c_j, out=row)
+        elif c_j == 1.0:
+            end = np.add(x, h, out=row)
+        else:
+            np.multiply(h, c_j, out=row)
+            row += x
+    if end is None:
+        end = x + h
     if h.min() > 0.0 and lo <= x.min() and end.max() <= hi:  # nan fails
         return stage_x, []
     return stage_x, np.flatnonzero(~((h > 0.0) & (lo <= x) & (end <= hi))).tolist()
+
+
+def _on_stages(fn, stage_x):
+    """``fn`` called once on every stage abscissa of a block, as an (s, n)
+    array of its values, or None if ``fn`` rejects arrays."""
+    value = array_eval(fn, stage_x.reshape(-1))
+    return None if value is None else value.reshape(stage_x.shape)
 
 
 def _explicit_coefficients(a, b, p_fn, q_fn, stage_x, h):
@@ -197,8 +215,8 @@ def _explicit_coefficients(a, b, p_fn, q_fn, stage_x, h):
     k_j = alpha_j*y + beta_j for y' = p(x)*y + q(x).  D comes from p alone
     and is tested before q is evaluated.  D, S and the forms' maxima are the
     generic sums' doubles, from only the work that can change them (README)."""
-    ps = [array_eval(p_fn, x_j) for x_j in stage_x]
-    if any(p is None for p in ps):
+    ps = _on_stages(p_fn, stage_x)
+    if ps is None:
         return None
     # Stage value y + h * sum_k a_jk k_k = (1 + h*acc_a)*y + h*acc_b.
     alphas, betas = [], []
@@ -208,14 +226,14 @@ def _explicit_coefficients(a, b, p_fn, q_fn, stage_x, h):
     d = h * sum(b_j * alpha for b_j, alpha in zip(b, alphas))
     if not np.abs(1.0 + d).max() <= 1.0:
         return None
-    qs = [array_eval(q_fn, x_j) for x_j in stage_x]
-    if any(q is None for q in qs):
+    qs = _on_stages(q_fn, stage_x)
+    if qs is None:
         return None
     for a_j, p, q in zip(a, ps, qs):
         acc = [beta if w == 1.0 else w * beta for w, beta in zip(a_j, betas) if w]
         betas.append(p * (h * sum(acc[1:], acc[0])) + q if acc else q)
     s = h * sum(b_j * beta for b_j, beta in zip(b, betas))
-    return d, s, ps + alphas[1:], qs + betas[1:]
+    return d, s, [ps] + alphas[1:], [qs] + betas[1:]
 
 
 def _gauss2_coefficients(p_fn, q_fn, stage_x, h):
@@ -224,9 +242,10 @@ def _gauss2_coefficients(p_fn, q_fn, stage_x, h):
     determinant is gauss2_linear_step's, bit for bit.  D is tested before
     q is evaluated."""
     g = GAUSS2_GAMMA
-    p1, p2 = (array_eval(p_fn, x_j) for x_j in stage_x)
-    if p1 is None or p2 is None:
+    ps = _on_stages(p_fn, stage_x)
+    if ps is None:
         return None
+    p1, p2 = ps
     denom = _gauss2_determinant(p1, p2, h)
     if not np.abs(denom).min() > SINGULAR_DENOMINATOR_TOL:
         return None
@@ -236,12 +255,12 @@ def _gauss2_coefficients(p_fn, q_fn, stage_x, h):
     d = 0.5 * h * (alphas[0] + alphas[1]) / denom
     if not np.abs(1.0 + d).max() <= 1.0:
         return None
-    q1, q2 = (array_eval(q_fn, x_j) for x_j in stage_x)
-    if q1 is None or q2 is None:
+    qs = _on_stages(q_fn, stage_x)
+    if qs is None:
         return None
-    betas = [q1 * f2, q2 * f1]
+    betas = [qs[0] * f2, qs[1] * f1]
     s = 0.5 * h * (betas[0] + betas[1]) / denom
-    return d, s, alphas + [p1, p2], betas + [q1, q2]
+    return d, s, alphas + [ps], betas + [qs]
 
 
 #: Meshes with fewer intervals run the step recurrence as a plain loop
@@ -307,8 +326,10 @@ def _affine_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
     functions return None (gate failed) or (D, S, alphas, betas): the step
     y + (D*y + S), and the affine forms alpha*y + beta of the intermediates
     the scalar step computes from y, less any whose magnitude another
-    repeats.  D and S go into the scan's rows (see _scan; the last row is
-    padded with identity steps), and one headroom test follows the scan.
+    repeats (the stages' p and q come as one (s, n) array each, from one
+    call per block).  D and S go into the scan's rows (see _scan; the last
+    row is padded with identity steps), and one headroom test follows the
+    scan.
     """
     nodes, widths = mesh.nodes, mesh.widths
     n = len(widths)
@@ -436,7 +457,7 @@ def _explicit_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
         for lo in range(0, n, KERNEL_BLOCK):
             hi = min(lo + KERNEL_BLOCK, n)
             stage_x, failed = _step_checks(problem, c, nodes[lo:hi], widths[lo:hi])
-            columns = [widths[lo:hi].tolist()] + [x_j.tolist() for x_j in stage_x]
+            columns = [widths[lo:hi].tolist()] + stage_x.tolist()
             m = hi - lo
             # A straight-line run ends at the next failed step, or earlier.
             stops = failed + [m]
@@ -479,10 +500,8 @@ def integrate(scheme: str, problem: Problem, mesh: Mesh) -> Trajectory:
     fails the step rule.
     """
     nodes = mesh.nodes
-    if (
-        abs(nodes[0] - problem.x0) > DOMAIN_TOL
-        or abs(nodes[-1] - problem.domain_end) > DOMAIN_TOL
-    ):
+    slack = domain_slack(problem)
+    if abs(nodes[0] - problem.x0) > slack or abs(nodes[-1] - problem.domain_end) > slack:
         raise ValueError(
             f"mesh spans [{nodes[0]}, {nodes[-1]}] but problem domain is "
             f"[{problem.x0}, {problem.domain_end}]"

@@ -61,12 +61,15 @@ def oracle(scheme, problem, mesh):
     step = scalar_step(scheme, problem)
     y = float(problem.y0)
     values = [y]
-    for i, (x, h) in enumerate(zip(mesh.nodes.tolist(), mesh.widths.tolist())):
-        try:
-            y = step(x, y, h)
-        except (StageEvaluationError, SingularStepError) as exc:
-            raise type(exc)(f"step {i} failed: {exc}") from exc
-        values.append(y)
+    # As in integrate's scalar driver, a numpy coefficient that overflows
+    # surfaces as the step's error, not as a warning.
+    with np.errstate(all="ignore"):
+        for i, (x, h) in enumerate(zip(mesh.nodes.tolist(), mesh.widths.tolist())):
+            try:
+                y = step(x, y, h)
+            except (StageEvaluationError, SingularStepError) as exc:
+                raise type(exc)(f"step {i} failed: {exc}") from exc
+            values.append(y)
     return np.array(values)
 
 
@@ -133,6 +136,37 @@ def test_matrix_against_oracle(scheme, name, kind):
 def test_property_kernel_agrees_or_both_raise(scheme, name, kind, log2_eps, k):
     eps = 2.0**log2_eps
     check_against_oracle(scheme, make_builtin(name, eps), mesh_for(kind, 2**k, eps))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    scheme=st.sampled_from(SCHEME_NAMES),
+    name=st.sampled_from(["decay", "layer1"]),
+    kind=st.sampled_from(["shishkin", "uniform"]),
+    log2_eps=st.floats(min_value=-1074.0, max_value=0.0),
+    k=st.integers(min_value=2, max_value=12),
+)
+@example(scheme="gauss2", name="decay", kind="uniform", log2_eps=-1000.0, k=2)
+@example(scheme="gauss2", name="decay", kind="uniform", log2_eps=-999.0, k=2)
+@example(scheme="gauss2", name="layer1", kind="uniform", log2_eps=-1000.0, k=12)
+@example(scheme="gauss2", name="layer1", kind="shishkin", log2_eps=-1000.0, k=12)
+@example(scheme="heun", name="decay", kind="shishkin", log2_eps=-1074.0, k=12)
+@example(scheme="rk3_a", name="layer1", kind="shishkin", log2_eps=-1074.0, k=2)
+@example(scheme="gauss2", name="layer1", kind="uniform", log2_eps=-1074.0, k=2)
+@example(scheme="gauss2", name="layer1", kind="shishkin", log2_eps=-1030.0, k=4)
+def test_property_extreme_eps_ends_in_one_known_way(scheme, name, kind, log2_eps, k):
+    """Over every eps the CLI accepts, down to 2^-1074, a run ends in a
+    usage error at construction, in finite values that agree with the
+    oracle, or in the oracle's own numerical error; nothing else escapes.
+    Near eps = 2^-1000 the coefficients reach |p| ~ 2^1000, where the
+    kernel's headroom gate decides."""
+    eps = 2.0**log2_eps
+    try:
+        problem, mesh = make_builtin(name, eps), mesh_for(kind, 2**k, eps)
+    except ValueError:
+        return
+    if check_against_oracle(scheme, problem, mesh) != "raised":
+        assert np.isfinite(integrate(scheme, problem, mesh).values).all()
 
 
 class TestGate:
@@ -313,7 +347,7 @@ class TestGate:
                 integrate(scheme, make_builtin("layer1", 0.5), mesh)
 
     @pytest.mark.parametrize("scheme", SCHEME_NAMES)
-    @pytest.mark.parametrize("n", [3, 6, 9])
+    @pytest.mark.parametrize("n", [3, 6, 7, 9, 11])
     def test_width_tolerance_scales_with_the_nodes(self, scheme, n):
         """On [0, 1e6] a uniform mesh's widths and node differences differ
         by up to ~1e-10, within the tolerance scaled by 1e6.  Copied by
@@ -502,9 +536,9 @@ class TestCoefficientLayer:
     @pytest.mark.parametrize("scheme", SCHEME_NAMES)
     def test_bits_equal_the_generic_layer(self, scheme):
         """Stage abscissae, D, S and the per-block headroom maxima, sign
-        bits included (byte comparison), on random blocks with +-0.0
-        nodes, -0.0 coefficients and every kind of callback result; the
-        gate's verdict is the same too."""
+        bits included (byte comparison), on random blocks of 64 intervals
+        and of a full KERNEL_BLOCK with +-0.0 nodes, -0.0 coefficients and
+        every kind of callback result; the gate's verdict is the same too."""
         tableau = named_tableau(scheme)
         rng = np.random.default_rng(list(SCHEME_NAMES).index(scheme))
         verdicts = []
@@ -518,8 +552,8 @@ class TestCoefficientLayer:
                     linear=(p_fn, q_fn),
                     label="bits",
                 )
-                for _ in range(3):
-                    x, h = random_block(rng)
+                for m in (64, 64, 64, KERNEL_BLOCK):
+                    x, h = random_block(rng, m)
                     with np.errstate(all="ignore"):
                         got_x, got = kernel_block(tableau, problem, x, h)
                         want_x, want = reference_block(tableau, problem, x, h)
@@ -529,6 +563,73 @@ class TestCoefficientLayer:
                     if want is not None:
                         assert all(map(same_bits, got, want))
         assert 0 < sum(verdicts) < len(verdicts) / 2
+
+
+def counted_linear_problem(calls):
+    """y' = (-1 - x)*y + x on [0, 1], its p and q appending the shape of
+    every argument to ``calls`` under their names."""
+
+    def counted(name, fn):
+        def callback(x):
+            calls.append((name, np.shape(x)))
+            return fn(x)
+
+        return callback
+
+    return Problem(
+        epsilon=1.0,
+        x0=0.0,
+        y0=1.0,
+        rhs=lambda x, y: (-1.0 - x) * y + x,
+        linear=(counted("p", lambda x: -1.0 - x), counted("q", lambda x: x)),
+        label="counted",
+    )
+
+
+class TestOneCallPerBlock:
+    """The coefficient layer calls p once and q once per block, on a 1-d
+    array of the block's s*n stage abscissae."""
+
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    @pytest.mark.parametrize("n", [16, 2**13])
+    def test_call_counts(self, scheme, n):
+        calls = []
+        problem = counted_linear_problem(calls)
+        mesh = build_uniform_mesh(n)
+        stages = named_tableau(scheme).stages
+        calls.clear()  # the spot-check of Problem's linear form
+        got = integrate(scheme, problem, mesh).values
+        blocks = [min(KERNEL_BLOCK, n - lo) for lo in range(0, n, KERNEL_BLOCK)]
+        expected = []
+        for m in blocks:
+            expected += [("p", (stages * m,)), ("q", (stages * m,))]
+        assert calls == expected
+        want = oracle(scheme, problem, mesh)
+        assert np.abs(got - want).max() <= ulp_bound(want)
+
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    def test_rejecting_the_stage_array_falls_back(self, scheme):
+        """A coefficient that takes one block's n points but not its s*n
+        stage abscissae sends the run to the scalar driver: the values
+        are the oracle's bit for bit."""
+        mesh = build_uniform_mesh(64)
+        n = len(mesh.widths)
+
+        def p(x):
+            if np.ndim(x) and np.size(x) != n:
+                raise ValueError("expects one value per interval")
+            return -1.0 - x
+
+        problem = Problem(
+            epsilon=1.0,
+            x0=0.0,
+            y0=1.0,
+            rhs=lambda x, y: (-1.0 - x) * y + x,
+            linear=(p, lambda x: x),
+            label="per-interval",
+        )
+        got = integrate(scheme, problem, mesh).values
+        assert got.tobytes() == oracle(scheme, problem, mesh).tobytes()
 
 
 class TestScan:

@@ -264,14 +264,28 @@ class TestValidateMesh:
     def test_left_endpoint_violation(self):
         nodes = np.array([0.1, 0.6, 1.0])
         mesh = Mesh(nodes=nodes, widths=np.diff(nodes), kind="uniform")
-        report = validate_mesh(mesh)
-        assert any("left endpoint" in line for line in report)
+        assert validate_mesh(mesh) == ["left endpoint is 0.1, expected 0.0"]
+
+    def test_right_endpoint_violation(self):
+        nodes = np.array([0.0, 0.6, 1.5])
+        mesh = Mesh(nodes=nodes, widths=np.diff(nodes), kind="uniform")
+        assert validate_mesh(mesh) == ["right endpoint is 1.5, expected 1.0"]
 
     def test_width_inconsistency(self):
         nodes = np.array([0.0, 0.5, 1.0])
         mesh = Mesh(nodes=nodes, widths=np.array([0.5, 0.499]), kind="uniform")
         report = validate_mesh(mesh)
         assert any("inconsistent" in line for line in report)
+
+    def test_messages_print_python_floats(self):
+        """The values read as integrate's width error reads them, not as
+        numpy scalar reprs."""
+        nodes = np.array([0.0, 0.5, 1.0])
+        mesh = Mesh(nodes=nodes, widths=np.array([0.5, 0.4]), kind="uniform")
+        assert validate_mesh(mesh) == [
+            "width 0.4 inconsistent with node difference 0.5 at index 1",
+            "sum of widths deviates from node span by 1.000e-01",
+        ]
 
     def test_width_tolerance_on_the_unit_interval(self):
         """For |x| <= 1 the tolerance is WIDTH_CONSISTENCY_ATOL itself."""
@@ -345,3 +359,116 @@ class TestMeshInvariantProperty:
         assert mesh.nodes[0] == 0.0
         assert mesh.nodes[-1] == 1.0
         assert abs(np.sum(mesh.widths) - 1.0) <= WIDTH_CONSISTENCY_ATOL
+
+
+def concatenated_shishkin(n_intervals, alpha, sigma):
+    """build_from_sigma's nodes and widths as they were built from
+    concatenated temporaries, with its checks and messages."""
+    if n_intervals < 2:
+        raise ValueError(f"n_intervals must be >= 2, got {n_intervals}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if not 0.0 < sigma <= 0.5:
+        raise ValueError(f"sigma must be in (0, 0.5], got {sigma}")
+    m = round(alpha * n_intervals)
+    if abs(alpha * n_intervals - m) > 1e-9 or not 0 < m < n_intervals:
+        raise ValueError(
+            f"alpha * n_intervals must be integral and interior, "
+            f"got {alpha * n_intervals}"
+        )
+    h_fine = sigma / m
+    h_coarse = (1.0 - sigma) / (n_intervals - m)
+    fine = h_fine * np.arange(m + 1)
+    fine[m] = sigma
+    coarse = sigma + h_coarse * np.arange(1, n_intervals - m + 1)
+    coarse[-1] = 1.0
+    nodes = np.concatenate([fine, coarse])
+    pinned = np.array([m - 1, m, n_intervals - 1])
+    if not (h_fine > 0.0 and np.all(nodes[pinned] < nodes[pinned + 1])):
+        raise ValueError(
+            f"sigma = {sigma!r} is too small for {m} fine intervals: "
+            "the mesh nodes would repeat"
+        )
+    widths = np.concatenate([np.full(m, h_fine), np.full(n_intervals - m, h_coarse)])
+    return nodes, widths
+
+
+def concatenated_uniform(n_intervals, interval=(0.0, 1.0)):
+    """build_uniform_mesh's nodes and widths as they were built from
+    temporaries, with its checks and messages."""
+    x_lo, x_hi = interval
+    if n_intervals < 1:
+        raise ValueError(f"n_intervals must be >= 1, got {n_intervals}")
+    if not (math.isfinite(x_lo) and math.isfinite(x_hi)):
+        raise ValueError(f"interval endpoints must be finite, got [{x_lo}, {x_hi}]")
+    if not x_lo < x_hi:
+        raise ValueError(f"degenerate interval [{x_lo}, {x_hi}]")
+    h = (x_hi - x_lo) / n_intervals
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(
+            f"interval [{x_lo}, {x_hi}] gives width {h} for {n_intervals} intervals"
+        )
+    nodes = x_lo + h * np.arange(n_intervals + 1)
+    nodes[-1] = x_hi
+    if not np.all(nodes[:-1] < nodes[1:]):
+        raise ValueError(
+            f"interval [{x_lo}, {x_hi}] is too short for {n_intervals} "
+            "intervals: the mesh nodes would repeat"
+        )
+    return nodes, np.full(n_intervals, h)
+
+
+def built_bytes(build, *args):
+    """The bytes of the nodes and widths ``build`` gives, or its error's
+    class and message."""
+    try:
+        found = build(*args)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    nodes, widths = (found.nodes, found.widths) if isinstance(found, Mesh) else found
+    assert nodes.dtype == widths.dtype == np.float64
+    return nodes.tobytes(), widths.tobytes()
+
+
+class TestBuildersInPlace:
+    """The builders write nodes and widths into their two output arrays;
+    the doubles, and every error message, are those of the construction
+    from temporaries."""
+
+    @pytest.mark.parametrize("n", [4, 6, 2**10, 2**17 + 2])
+    @pytest.mark.parametrize("eps", [1.0, 2.0**-8, 2.0**-30, 2.0**-1000])
+    def test_shishkin_bytes(self, n, eps):
+        sigma = transition_point(params(n=n, eps=eps))
+        for alpha in (0.5, 0.25) if n % 4 == 0 else (0.5,):
+            assert built_bytes(build_from_sigma, n, alpha, sigma) == built_bytes(
+                concatenated_shishkin, n, alpha, sigma
+            )
+
+    @pytest.mark.parametrize("n", [4, 6, 2**10, 2**17 + 2])
+    @pytest.mark.parametrize(
+        "span", [(0.0, 1.0), (-0.0, 1.0), (0.0, 1e6), (-3.7e5, 2.1e8), (1e-300, 3e-300)]
+    )
+    def test_uniform_bytes(self, n, span):
+        assert built_bytes(build_uniform_mesh, n, span) == built_bytes(
+            concatenated_uniform, n, span
+        )
+
+    @pytest.mark.parametrize(
+        "args",
+        [(16, 0.5, 14 * 2.0**-1074), (16, 0.5, 3 * 2.0**-1074), (2**20, 0.5, 2.0**-1074),
+         (8, 0.5, 0.75), (8, 0.5, 0.0), (10, 0.15, 0.2), (1, 0.5, 0.2)],
+    )
+    def test_shishkin_messages(self, args):
+        found = built_bytes(build_from_sigma, *args)
+        assert found[0] == "ValueError"
+        assert found == built_bytes(concatenated_shishkin, *args)
+
+    @pytest.mark.parametrize(
+        "args",
+        [(4, (0.0, math.inf)), (2, (-1e308, 1e308)), (4, (0.0, 5e-324)),
+         (4, (1.0, 1.0 + 4e-16)), (0, (0.0, 1.0)), (4, (1.0, 1.0))],
+    )
+    def test_uniform_messages(self, args):
+        found = built_bytes(build_uniform_mesh, *args)
+        assert found[0] == "ValueError"
+        assert found == built_bytes(concatenated_uniform, *args)

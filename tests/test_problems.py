@@ -16,7 +16,7 @@ from shishkin_ivp import (
     make_builtin,
     rhs_eval,
 )
-from shishkin_ivp.problems import array_eval
+from shishkin_ivp.problems import DOMAIN_TOL, array_eval, domain_bounds, domain_slack
 
 
 class TestMakeBuiltin:
@@ -143,8 +143,14 @@ class TestArrayEval:
 
     @pytest.mark.parametrize(
         "fn",
-        [lambda x: np.ones(3), lambda x: np.ones((4, 2)), math.exp, scalars_only],
-        ids=["short", "two-d", "type-error", "value-error"],
+        [
+            lambda x: np.ones(3),
+            lambda x: np.ones((4, 2)),
+            lambda x: np.ones((1, 4)),
+            math.exp,
+            scalars_only,
+        ],
+        ids=["short", "two-d", "leading-unit-axis", "type-error", "value-error"],
     )
     def test_rejection_is_none(self, fn):
         assert array_eval(fn, self.x) is None
@@ -195,6 +201,47 @@ class TestExactEval:
         )
         with pytest.raises(ValueError, match="no exact solution"):
             exact_eval(plain, 0.5)
+
+
+class TestDomainBounds:
+    def test_unit_interval_is_unchanged(self):
+        """On [0, 1] the slack is DOMAIN_TOL itself, bit for bit."""
+        assert domain_bounds(make_builtin("decay", 1.0)) == (-DOMAIN_TOL, 1.0 + DOMAIN_TOL)
+
+    @pytest.mark.parametrize(
+        "x0, end, slack", [(0.0, 1e6, 1e-6), (-4e3, 2.0, 4e-9), (0.25, 0.5, DOMAIN_TOL)]
+    )
+    def test_slack_scales_with_the_domain(self, x0, end, slack):
+        problem = Problem(epsilon=1.0, x0=x0, y0=1.0, rhs=lambda x, y: -y, domain_end=end)
+        assert domain_slack(problem) == slack
+        assert domain_bounds(problem) == (x0 - slack, end + slack)
+
+    @pytest.mark.parametrize("n", [7, 11])
+    def test_builder_meshes_on_a_long_domain_integrate(self, n):
+        """The last x + h of these uniform meshes on [0, 1e6] rounds
+        ~1.2e-10 past 1e6: inside the scaled slack, for every scheme."""
+        mesh = build_uniform_mesh(n, (0.0, 1e6))
+        assert (mesh.nodes[:-1] + mesh.widths).max() > 1e6 + DOMAIN_TOL
+        problem = Problem(
+            epsilon=1.0,
+            x0=0.0,
+            y0=1.0,
+            rhs=lambda x, y: -1e-6 * y,
+            domain_end=1e6,
+            linear=(lambda x: -1e-6, lambda x: 0.0),
+        )
+        for scheme in SCHEME_NAMES:
+            assert np.isfinite(integrate(scheme, problem, mesh).values).all()
+
+    def test_span_test_uses_the_slack(self):
+        """integrate's span test accepts a mesh end within the scaled
+        slack of domain_end and rejects one beyond it."""
+        problem = Problem(epsilon=1.0, x0=0.0, y0=1.0, rhs=lambda x, y: -y, domain_end=1e6)
+        inside = build_uniform_mesh(4, (0.0, 1e6 + 5e-7))
+        assert np.isfinite(integrate("heun", problem, inside).values).all()
+        outside = build_uniform_mesh(4, (0.0, 1e6 + 2e-6))
+        with pytest.raises(ValueError, match="mesh spans"):
+            integrate("heun", problem, outside)
 
 
 class TestProblemValidation:
