@@ -53,8 +53,7 @@ class Problem:
     label: str = "custom"
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon}")
+        _check_epsilon(self.epsilon)
         if not all(map(math.isfinite, (self.x0, self.y0, self.domain_end))):
             raise ValueError(
                 "x0, y0 and domain_end must be finite, got "
@@ -74,14 +73,20 @@ class Problem:
                 raise ValueError(
                     f"exact({self.x0}) = {y_start!r} does not match y0 = {self.y0!r}"
                 )
-        if self.linear is not None:
+        if self.linear is not None and self.linear is not getattr(
+            self.rhs, "_linear_form", None
+        ):
             # Spot-check the advertised linear form at the domain ends and
-            # the midpoint.
+            # the midpoint: equal values (infinities included) agree, finite
+            # ones within a relative 1e-12; a nan on either side disagrees.
+            # make_builtin's rhs carries its own linear form, which agrees
+            # with it by construction, so a problem with that pair skips it.
             with np.errstate(all="ignore"):
                 for x in (self.x0, 0.5 * (self.x0 + self.domain_end), self.domain_end):
                     p, q = linear_coeffs_eval(self, x)
                     r = self.rhs(x, self.y0)
-                    if abs(r - (p * self.y0 + q)) > 1e-12 * (1.0 + abs(r)):
+                    f, tol = p * self.y0 + q, 1e-12 * (1.0 + abs(r))
+                    if not (r == f or math.isfinite(r) and abs(r - f) <= tol):
                         raise ValueError(
                             f"linear form p(x)*y + q(x) disagrees with rhs at x={x}"
                         )
@@ -89,6 +94,11 @@ class Problem:
     @property
     def problem_id(self) -> str:
         return f"{self.label}(eps={self.epsilon:.17g})"
+
+
+def _check_epsilon(epsilon: float):
+    if not 0.0 < epsilon <= 1.0:
+        raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
 
 
 def domain_slack(problem: Problem) -> float:
@@ -119,33 +129,68 @@ def make_builtin(name: str, epsilon: float) -> Problem:
     decay:  eps*y' = -y, y(0) = 1, exact solution exp(-x/eps).
     layer1: eps*y' = -x*y + eps + exp(-x/eps) + x*(x - exp(-x/eps) + 1),
             y(0) = 0, exact solution x - exp(-x/eps) + 1.
+
+    The callbacks give the doubles of these formulas as written, bit for
+    bit (tests/test_problems.py keeps the plain versions as reference),
+    but cost less: ``rhs`` is one frame on ``math``; ``p``, ``q`` and
+    ``exact`` take floats or arrays, use x / -eps, which is -x / eps for
+    every float x but NaN, and run their later passes in place on the
+    fresh array they return.  ``rhs`` carries its linear form, which
+    agrees with it by construction, so ``Problem`` skips its spot check
+    for that pair (at eps near 2^-1074 both sides would read nan there).
     """
+    if name not in BUILTIN_NAMES:
+        raise ValueError(f"unknown builtin problem {name!r}; known: {BUILTIN_NAMES}")
+    _check_epsilon(epsilon)
+    neg_eps = -epsilon
     if name == "decay":
-        return Problem(
-            epsilon=epsilon,
-            x0=0.0,
-            y0=1.0,
-            rhs=lambda x, y: -y / epsilon,
-            linear=(lambda x: -1.0 / epsilon, lambda x: 0.0),
-            exact=lambda x: np.exp(-x / epsilon),
-            label="decay",
-        )
-    if name == "layer1":
+        p_value = -1.0 / epsilon
 
-        def source(x, exp):
-            e = exp(-x / epsilon)
-            return (epsilon + e + x * (x - e + 1.0)) / epsilon
+        def rhs(x, y):
+            return -y / epsilon
 
-        return Problem(
-            epsilon=epsilon,
-            x0=0.0,
-            y0=0.0,
-            rhs=lambda x, y: (-x / epsilon) * y + source(x, math.exp),
-            linear=(lambda x: -x / epsilon, lambda x: source(x, np.exp)),
-            exact=lambda x: x - np.exp(-x / epsilon) + 1.0,
-            label="layer1",
-        )
-    raise ValueError(f"unknown builtin problem {name!r}; known: {BUILTIN_NAMES}")
+        def p(x):
+            return p_value
+
+        def q(x):
+            return 0.0
+
+        def exact(x):
+            return np.exp(x / neg_eps)
+
+        y0 = 1.0
+    else:
+        exp = math.exp
+
+        def rhs(x, y):
+            t = -x / epsilon
+            e = exp(t)
+            return t * y + (epsilon + e + x * (x - e + 1.0)) / epsilon
+
+        def p(x):
+            return x / neg_eps
+
+        def q(x):
+            # (epsilon + e + x*(x - e + 1)) / epsilon, operand for operand.
+            e = np.exp(x / neg_eps)
+            t = x - e
+            t += 1.0
+            t *= x
+            e += epsilon
+            e += t
+            e /= epsilon
+            return e
+
+        def exact(x):
+            y = x - np.exp(x / neg_eps)
+            y += 1.0
+            return y
+
+        y0 = 0.0
+    rhs._linear_form = linear = (p, q)
+    return Problem(
+        epsilon=epsilon, x0=0.0, y0=y0, rhs=rhs, linear=linear, exact=exact, label=name
+    )
 
 
 def rhs_eval(problem: Problem, x: float, y: float) -> float:

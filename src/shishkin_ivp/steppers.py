@@ -148,7 +148,16 @@ def gauss2_linear_step(
 
         y + h/2 * [(p1*y + q1)(1 + p2*gamma*h) + (p2*y + q2)(1 - p1*gamma*h)] / D,
         D = (1 - p1*h/4)(1 - p2*h/4) - p1*p2*(1/16 - gamma^2)*h^2.
+
+    A numpy coefficient that overflows surfaces as the step's own error,
+    not as a RuntimeWarning.
     """
+    with np.errstate(all="ignore"):
+        return _gauss2_step(problem, x_i, y_i, h_i)
+
+
+def _gauss2_step(problem: Problem, x_i: float, y_i: float, h_i: float) -> float:
+    """gauss2_linear_step without its np.errstate, for callers that hold one."""
     if problem.linear is None:
         raise ValueError(
             f"problem {problem.label!r} has no linear form; the closed-form "
@@ -383,7 +392,7 @@ def _gauss2_scalar_integrate(problem: Problem, mesh: Mesh) -> np.ndarray:
     # as a warning.
     with np.errstate(all="ignore"):
         for i, (x, h) in enumerate(zip(mesh.nodes.tolist(), mesh.widths.tolist())):
-            y = _numbered(i, gauss2_linear_step, problem, x, y, h)
+            y = _numbered(i, _gauss2_step, problem, x, y, h)
             values[i + 1] = y
     return values
 

@@ -1,10 +1,16 @@
 """Tests for the built-in problems and their evaluation helpers."""
 
+import dataclasses
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from shishkin_ivp import problems
 from shishkin_ivp import (
     SCHEME_NAMES,
     EvaluationError,
@@ -16,7 +22,13 @@ from shishkin_ivp import (
     make_builtin,
     rhs_eval,
 )
-from shishkin_ivp.problems import DOMAIN_TOL, array_eval, domain_bounds, domain_slack
+from shishkin_ivp.problems import (
+    BUILTIN_NAMES,
+    DOMAIN_TOL,
+    array_eval,
+    domain_bounds,
+    domain_slack,
+)
 
 
 class TestMakeBuiltin:
@@ -48,6 +60,207 @@ class TestMakeBuiltin:
     def test_epsilon_domain_message(self, name, eps):
         with pytest.raises(ValueError, match=r"^epsilon must be in \(0, 1\], got "):
             make_builtin(name, eps)
+
+
+def reference_callbacks(name, epsilon):
+    """(rhs, p, q, exact) of make_builtin as the plain formulas, kept
+    verbatim from the first version as the bit-identity reference."""
+    if name == "decay":
+        return (
+            lambda x, y: -y / epsilon,
+            lambda x: -1.0 / epsilon,
+            lambda x: 0.0,
+            lambda x: np.exp(-x / epsilon),
+        )
+
+    def source(x, exp):
+        e = exp(-x / epsilon)
+        return (epsilon + e + x * (x - e + 1.0)) / epsilon
+
+    return (
+        lambda x, y: (-x / epsilon) * y + source(x, math.exp),
+        lambda x: -x / epsilon,
+        lambda x: source(x, np.exp),
+        lambda x: x - np.exp(-x / epsilon) + 1.0,
+    )
+
+
+def outcome(fn, *args):
+    """fn(*args) as its type, dtype and bytes, or as the class and message
+    of what it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            value = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(value), np.asarray(value).dtype, np.asarray(value).tobytes()
+
+
+#: Abscissae in [0, 1]: both ends, the smallest subnormal, tiny values
+#: whose x/eps is finite for small eps, and a grid.
+BIT_X = np.unique(
+    np.concatenate(([0.0, 5e-324, 1e-300, 2.0**-30, 1.0], np.linspace(0.0, 1.0, 129)))
+)
+BIT_Y = (0.0, -0.0, 1.0, -1.0, 1e308, -1e308)
+
+
+def assert_builtin_bits(name, epsilon):
+    problem = make_builtin(name, epsilon)
+    rhs, *coefficients = reference_callbacks(name, epsilon)
+    for got, expected in zip((*problem.linear, problem.exact), coefficients):
+        assert outcome(got, BIT_X) == outcome(expected, BIT_X)
+        for x in BIT_X.tolist():
+            assert outcome(got, x) == outcome(expected, x), x
+    for y in BIT_Y:
+        assert outcome(problem.rhs, BIT_X, y) == outcome(rhs, BIT_X, y)
+        for x in BIT_X.tolist():
+            assert outcome(problem.rhs, x, y) == outcome(rhs, x, y), (x, y)
+    ys = np.array(BIT_Y)
+    assert outcome(problem.rhs, 0.5, ys) == outcome(rhs, 0.5, ys)
+
+
+class TestBuiltinBits:
+    """make_builtin's callbacks give the plain formulas' doubles, and
+    raise what they raise (math.exp rejects an array x in rhs)."""
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    @pytest.mark.parametrize("log2_eps", [0, -8, -30, -1000, -1030, -1074])
+    def test_pinned_eps(self, name, log2_eps):
+        assert_builtin_bits(name, 2.0**log2_eps)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(log2_eps=st.floats(min_value=-1074.0, max_value=0.0))
+    def test_property_over_every_eps(self, log2_eps):
+        for name in BUILTIN_NAMES:
+            assert_builtin_bits(name, 2.0**log2_eps)
+
+
+class TestSpotCheck:
+    """Problem spot-checks a linear form against rhs at x0, the midpoint
+    and domain_end; make_builtin's problems skip it."""
+
+    @pytest.fixture
+    def spot_points(self, monkeypatch):
+        seen = []
+        original = problems.linear_coeffs_eval
+
+        def counted(problem, x):
+            seen.append(x)
+            return original(problem, x)
+
+        monkeypatch.setattr(problems, "linear_coeffs_eval", counted)
+        return seen
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtins_make_no_call(self, spot_points, name):
+        for eps in (1.0, 0.25, 2.0**-1074):
+            make_builtin(name, eps)
+        assert spot_points == []
+
+    def test_custom_linear_problem_makes_three(self, spot_points):
+        Problem(
+            epsilon=1.0,
+            x0=0.0,
+            y0=1.0,
+            rhs=lambda x, y: -y,
+            linear=(lambda x: -1.0, lambda x: 0.0),
+        )
+        assert spot_points == [0.0, 0.5, 1.0]
+
+    def test_replaced_rhs_is_checked_again(self):
+        with pytest.raises(ValueError, match="disagrees"):
+            dataclasses.replace(make_builtin("layer1", 0.25), rhs=lambda x, y: -y)
+
+    def test_swapped_pair_is_checked_again(self):
+        decay, layer1 = make_builtin("decay", 0.25), make_builtin("layer1", 0.25)
+        with pytest.raises(ValueError, match="disagrees"):
+            dataclasses.replace(decay, linear=layer1.linear)
+
+    def test_builtin_pair_survives_a_replace_of_other_fields(self, spot_points):
+        """The skip is tied to rhs and linear, the two fields the check
+        compares."""
+        problem = dataclasses.replace(make_builtin("layer1", 0.25), label="renamed")
+        assert spot_points == [] and problem.label == "renamed"
+
+    def test_extreme_builtin_would_fail_the_nan_rule(self):
+        """layer1 at eps = 2^-1074 forms -inf*0 + inf = nan at x = 0.5, and
+        its rhs (-inf)*0 + inf = nan too.  The builtin skips the check; the
+        same callbacks in a custom Problem are rejected."""
+        builtin = make_builtin("layer1", 2.0**-1074)
+        p, q = builtin.linear
+        with pytest.raises(ValueError, match="disagrees with rhs at x=0.5"):
+            Problem(
+                epsilon=builtin.epsilon,
+                x0=0.0,
+                y0=0.0,
+                rhs=lambda x, y: builtin.rhs(x, y),
+                linear=(p, q),
+            )
+
+    def test_nan_form_at_the_domain_end_disagrees(self):
+        with pytest.raises(ValueError, match="disagrees with rhs at x=1.0"):
+            Problem(
+                epsilon=1.0,
+                x0=0.0,
+                y0=1.0,
+                rhs=lambda x, y: -y,
+                linear=(lambda x: math.nan if x == 1.0 else -1.0, lambda x: 0.0),
+            )
+
+    def test_nan_rhs_at_the_midpoint_disagrees(self):
+        with pytest.raises(ValueError, match="disagrees with rhs at x=0.5"):
+            Problem(
+                epsilon=1.0,
+                x0=0.0,
+                y0=1.0,
+                rhs=lambda x, y: math.nan if x == 0.5 else -y,
+                linear=(lambda x: -1.0, lambda x: 0.0),
+            )
+
+    def test_equal_infinities_agree(self):
+        problem = Problem(
+            epsilon=1.0,
+            x0=0.0,
+            y0=1.0,
+            rhs=lambda x, y: math.inf * y,
+            linear=(lambda x: math.inf, lambda x: 0.0),
+        )
+        assert problem.linear is not None
+
+    def test_infinite_rhs_against_a_finite_form_disagrees(self):
+        with pytest.raises(ValueError, match="disagrees with rhs at x=0.0"):
+            Problem(
+                epsilon=1.0,
+                x0=0.0,
+                y0=1.0,
+                rhs=lambda x, y: math.inf,
+                linear=(lambda x: -1.0, lambda x: 0.0),
+            )
+
+
+def load_perfbench_spans():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("scheme, calls", [("gauss2", 2), ("heun", 1 + 2 * 16)])
+def test_instrumented_builtin_counts_and_keeps_values(scheme, calls):
+    """perfbench's instrument_problem swaps a builtin's callbacks after
+    construction: the run counts its callback calls (gauss2: p and q once
+    over 2*16 points; heun at h/eps = 4: p, which the gate rejects, then
+    two rhs calls per step) and returns the same values."""
+    spans = load_perfbench_spans()
+    tracer = spans.Tracer()
+    mesh = build_uniform_mesh(16)
+    expected = integrate(scheme, make_builtin("decay", 2.0**-6), mesh).values
+    problem = spans.instrument_problem(tracer, make_builtin("decay", 2.0**-6))
+    with tracer.span("run") as counters:
+        values = integrate(scheme, problem, mesh).values
+    assert values.tobytes() == expected.tobytes()
+    assert counters["cb_calls"] == calls
 
 
 class TestRhsEval:

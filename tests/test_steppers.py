@@ -1,6 +1,7 @@
 """Tests for the explicit driver, the closed-form Gauss step and integrate."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -199,6 +200,18 @@ class TestGauss2Step:
         )
         with pytest.raises(SingularStepError, match="x=0.0"):
             gauss2_linear_step(problem, 0.0, 1.0, h)
+
+    @pytest.mark.parametrize("log2_eps", [-1074, -1030])
+    def test_overflowing_coefficient_is_the_step_error(self, log2_eps):
+        """layer1's numpy q overflows at eps < 2^-1023; called directly,
+        the step raises its own error, not numpy's RuntimeWarning, also
+        when warnings are errors."""
+        problem = make_builtin("layer1", 2.0**log2_eps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(StageEvaluationError) as raised:
+                gauss2_linear_step(problem, 0.0, 0.0, 0.5)
+        assert str(raised.value) == "non-finite Gauss step result at x=0.0, h=0.5"
 
 
 class TestDriverAgainstReferenceSteps:
