@@ -11,8 +11,9 @@ form of R(z) = 1 + z b^T (I - zA)^{-1} 1 (Hairer & Wanner, Solving ODEs II,
 sec. IV.3).  ``integrate`` computes D and S with numpy, a block at a time
 and without the generic substitution's no-op work, and runs the
 recurrence as a two-level scan (rows of C = ``scan_width(N)`` intervals)
-whenever it can show that the scalar driver would give the same values
-up to rounding; otherwise the scalar driver, the oracle, runs the mesh.
+on meshes of at least KERNEL_MIN_INTERVALS intervals, whenever it can
+show that the scalar driver would give the same values up to rounding;
+otherwise the scalar driver, the oracle, runs the mesh.
 
 For explicit schemes the scalar driver is ``explicit_rk_step``'s arithmetic
 with its checks hoisted out of the loop: numpy checks each block of
@@ -35,10 +36,10 @@ from .mesh import Mesh, inconsistent_widths
 from .problems import (
     EvaluationError,
     Problem,
+    _linear_coeffs,
     array_eval,
     domain_bounds,
     domain_slack,
-    linear_coeffs_eval,
     rhs_eval,
 )
 from .tableaux import GAUSS2_GAMMA, ButcherTableau, named_tableau
@@ -49,6 +50,13 @@ SINGULAR_DENOMINATOR_TOL = 1e-14
 #: Intervals per block of the affine-step kernel: enough to amortise the
 #: numpy calls, few enough to keep the block's temporaries small.
 KERNEL_BLOCK = 4096
+
+#: Meshes with fewer intervals skip the kernel and run the scalar driver,
+#: whose whole run there costs less than the kernel's ~60 fixed numpy calls.
+#: One value for all tableaux: the explicit schemes cross over at 64-128
+#: intervals or later, gauss2 (its scalar step evaluates p and q on
+#: floats) at 16-64 on the builtins, so it alone can pay a little below 64.
+KERNEL_MIN_INTERVALS = 64
 
 #: The kernel requires max|y| * max|coefficient| + max|offset| over the
 #: whole run below this, far enough from overflow that the scalar driver's
@@ -167,8 +175,8 @@ def _gauss2_step(problem: Problem, x_i: float, y_i: float, h_i: float) -> float:
         raise ValueError(f"step size must be nonnegative, got {h_i}")
     _check_step_domain(problem, x_i, h_i)
     g = GAUSS2_GAMMA
-    p1, q1 = linear_coeffs_eval(problem, x_i + (0.5 - g) * h_i)
-    p2, q2 = linear_coeffs_eval(problem, x_i + (0.5 + g) * h_i)
+    p1, q1 = _linear_coeffs(problem, x_i + (0.5 - g) * h_i)
+    p2, q2 = _linear_coeffs(problem, x_i + (0.5 + g) * h_i)
     denom = _gauss2_determinant(p1, p2, h_i)
     if abs(denom) <= SINGULAR_DENOMINATOR_TOL:
         raise SingularStepError(
@@ -488,7 +496,8 @@ def integrate(scheme: str, problem: Problem, mesh: Mesh) -> Trajectory:
     """Advance the problem across every mesh interval with the named scheme.
 
     Exactly one step per interval, left to right.  The affine-step kernel
-    runs when the problem has a linear form whose coefficient functions
+    runs when the mesh has at least KERNEL_MIN_INTERVALS intervals, the
+    problem has a linear form whose coefficient functions
     accept arrays (scalar results are broadcast), every interval passes
     the step functions' rule (h > 0; x, x + h and every stage abscissa
     inside the domain), every coefficient and stage slope is finite, every
@@ -531,7 +540,7 @@ def integrate(scheme: str, problem: Problem, mesh: Mesh) -> Trajectory:
             f"difference {float(nodes[i + 1] - nodes[i])!r} at index {i}"
         )
     values = None
-    if problem.linear is not None:
+    if problem.linear is not None and len(mesh.widths) >= KERNEL_MIN_INTERVALS:
         values = _affine_integrate(tableau, problem, mesh)
     if values is None:
         values = scalar_driver(problem, mesh)

@@ -5,7 +5,8 @@ Where the affine-step kernel runs, its values may differ from the
 oracle's by rounding only: |y_i - oracle_i| <= C * N * 2^-52 *
 max(1, max|oracle|) with C = ULP_FACTOR = 4 (the largest ratio seen over
 60,000 random configurations with N <= 2^5 was 1.75, and it falls with
-N).  Every run the kernel must not take (a nonlinear problem, a blow-up,
+N).  Every run the kernel must not take (a mesh of fewer than
+KERNEL_MIN_INTERVALS intervals, a nonlinear problem, a blow-up,
 an expansive step, a singular Gauss system, coefficients that reject
 arrays) goes through the scalar driver and must reproduce the oracle bit
 for bit, exception class and ``step N`` message included; a run that
@@ -18,7 +19,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from shishkin_ivp import (
@@ -42,7 +43,12 @@ from shishkin_ivp import (
     named_tableau,
 )
 from shishkin_ivp import steppers
-from shishkin_ivp.steppers import KERNEL_BLOCK, SCAN_MIN_INTERVALS, scan_width
+from shishkin_ivp.steppers import (
+    KERNEL_BLOCK,
+    KERNEL_MIN_INTERVALS,
+    SCAN_MIN_INTERVALS,
+    scan_width,
+)
 from shishkin_ivp.tableaux import EXPLICIT_SCHEMES
 
 ULP_FACTOR = 4.0
@@ -109,6 +115,12 @@ def check_against_oracle(scheme, problem, mesh):
     return "kernel"
 
 
+def kernel_values(scheme, problem, mesh):
+    """The kernel's own verdict on a run, whatever the mesh size: its node
+    values, or None where its gate rejects the run."""
+    return steppers._affine_integrate(named_tableau(scheme), problem, mesh)
+
+
 def mesh_for(kind, n, eps):
     if kind == "shishkin":
         return build_shishkin_mesh(ShishkinParams(n_intervals=n, epsilon=eps))
@@ -169,6 +181,58 @@ def test_property_extreme_eps_ends_in_one_known_way(scheme, name, kind, log2_eps
         assert np.isfinite(integrate(scheme, problem, mesh).values).all()
 
 
+def array_calls_counted(problem, counts):
+    """``problem`` with p and q counting, under their names, the calls
+    that pass them an array."""
+
+    def counted(name, fn):
+        def callback(x):
+            if np.ndim(x):
+                counts.append(name)
+            return fn(x)
+
+        return callback
+
+    p, q = problem.linear
+    return dataclasses.replace(problem, linear=(counted("p", p), counted("q", q)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    scheme=st.sampled_from(SCHEME_NAMES),
+    name=st.sampled_from(["decay", "layer1"]),
+    kind=st.sampled_from(["shishkin", "uniform"]),
+    log2_eps=st.floats(min_value=-40.0, max_value=0.0),
+    n=st.integers(min_value=1, max_value=KERNEL_MIN_INTERVALS - 1),
+)
+def test_property_small_meshes_are_the_oracle(scheme, name, kind, log2_eps, n):
+    """Below KERNEL_MIN_INTERVALS integrate is the per-step oracle bit for
+    bit, or raises its exact error, and never calls p or q on an array."""
+    assume(kind == "uniform" or (n >= 4 and n % 2 == 0))
+    eps = 2.0**log2_eps
+    counts = []
+    problem = array_calls_counted(make_builtin(name, eps), counts)
+    check_bit_identical(scheme, problem, mesh_for(kind, n, eps))
+    assert counts == []
+
+
+@pytest.mark.parametrize("scheme", SCHEME_NAMES)
+def test_kernel_runs_from_the_minimum_mesh_size(scheme, monkeypatch):
+    """integrate tries the kernel on 64 intervals, and not on 63."""
+    tried = []
+    kernel = steppers._affine_integrate
+
+    def spy(tableau, problem, mesh):
+        tried.append(mesh.n_intervals)
+        return kernel(tableau, problem, mesh)
+
+    monkeypatch.setattr(steppers, "_affine_integrate", spy)
+    problem = make_builtin("layer1", 2.0**-4)
+    for n in 63, 64:
+        integrate(scheme, problem, build_uniform_mesh(n))
+    assert tried == [64]
+
+
 class TestGate:
     def test_blowup_is_the_oracle_failure(self):
         """heun on a stiff uniform mesh: class and step as the oracle's."""
@@ -181,6 +245,7 @@ class TestGate:
         problem = make_builtin("decay", 2.0**-4)
         mesh = build_uniform_mesh(4)
         assert amplification("heun", problem, mesh) == pytest.approx(5.0)
+        assert kernel_values("heun", problem, mesh) is None
         values = integrate("heun", problem, mesh).values
         assert np.array_equal(values, oracle("heun", problem, mesh))
         assert values[-1] == pytest.approx(625.0)
@@ -203,6 +268,7 @@ class TestGate:
             label="singular",
         )
         mesh = build_uniform_mesh(2)
+        assert kernel_values("gauss2", problem, mesh) is None
         assert check_against_oracle("gauss2", problem, mesh) == "raised"
         with pytest.raises(SingularStepError, match="step 0 failed"):
             integrate("gauss2", problem, mesh)
@@ -225,6 +291,7 @@ class TestGate:
             label="near-singular",
         )
         mesh = build_uniform_mesh(1)
+        assert kernel_values("gauss2", problem, mesh) is None
         assert check_against_oracle("gauss2", problem, mesh) == "raised"
 
     def test_overflow_in_a_zero_weight_stage_is_the_oracle_failure(self):
@@ -244,6 +311,7 @@ class TestGate:
             label="hidden-overflow",
         )
         mesh = build_uniform_mesh(4)
+        assert kernel_values("rk2_midpoint", problem, mesh) is None
         assert check_against_oracle("rk2_midpoint", problem, mesh) == "raised"
 
     @pytest.mark.parametrize("scheme", SCHEME_NAMES)
@@ -328,6 +396,7 @@ class TestGate:
         for name, eps, nodes, widths in cases:
             problem = make_builtin(name, eps)
             bad = Mesh(nodes=np.array(nodes), widths=np.array(widths), kind="uniform")
+            assert kernel_values(scheme, problem, bad) is None
             with pytest.raises(ValueError, match="leaves the domain") as expected:
                 oracle(scheme, problem, bad)
             with pytest.raises(ValueError) as raised:
@@ -337,12 +406,14 @@ class TestGate:
     @pytest.mark.parametrize("scheme", SCHEME_NAMES)
     def test_inconsistent_widths_raise(self, scheme):
         """Widths that disagree with the node differences are rejected,
-        though every step they give stays inside the domain, also on a
-        builder's mesh with its widths replaced."""
+        though every step they give stays inside the domain (the kernel's
+        own gate passes them), also on a builder's mesh with its widths
+        replaced."""
         bad = Mesh(nodes=np.array([0.0, 0.5, 1.0]), widths=np.array([0.5, 0.4]), kind="uniform")
         replaced = dataclasses.replace(build_uniform_mesh(2), widths=bad.widths)
         for mesh in bad, replaced:
             oracle(scheme, make_builtin("layer1", 0.5), mesh)  # the steps themselves pass
+            assert kernel_values(scheme, make_builtin("layer1", 0.5), mesh) is not None
             with pytest.raises(ValueError, match="width 0.4 inconsistent with node difference 0.5 at index 1"):
                 integrate(scheme, make_builtin("layer1", 0.5), mesh)
 
@@ -357,9 +428,15 @@ class TestGate:
         mesh = Mesh(nodes=built.nodes, widths=built.widths, kind="uniform")
         assert np.abs(mesh.widths - np.diff(mesh.nodes)).max() > 1e-12
         problem = dataclasses.replace(make_builtin("decay", 1.0), domain_end=1e6)
-        assert check_against_oracle(scheme, problem, mesh) != "raised"
+        assert check_against_oracle(scheme, problem, mesh) == "identical"
         assert np.array_equal(integrate(scheme, problem, mesh).values,
                               integrate(scheme, problem, built).values)
+        # h/eps ~ 1e5: the explicit schemes are expansive, gauss2 is not.
+        kernel = kernel_values(scheme, problem, mesh)
+        assert (kernel is None) == (scheme != "gauss2")
+        if kernel is not None:
+            expected = oracle(scheme, problem, mesh)
+            assert np.abs(kernel - expected).max() <= ulp_bound(expected)
 
     @pytest.mark.parametrize("scheme", SCHEME_NAMES)
     def test_step_rule_error_comes_first(self, scheme):
@@ -370,6 +447,7 @@ class TestGate:
         built = build_uniform_mesh(7, (0.0, 1e6))
         mesh = Mesh(nodes=built.nodes, widths=built.widths + 1e-3, kind="uniform")
         problem = dataclasses.replace(make_builtin("decay", 1.0), domain_end=1e6)
+        assert kernel_values(scheme, problem, mesh) is None
         with pytest.raises(ValueError, match="leaves the domain") as expected:
             oracle(scheme, problem, mesh)
         with pytest.raises(ValueError) as raised:
@@ -588,10 +666,12 @@ def counted_linear_problem(calls):
 
 class TestOneCallPerBlock:
     """The coefficient layer calls p once and q once per block, on a 1-d
-    array of the block's s*n stage abscissae."""
+    array of the block's s*n stage abscissae.  Below KERNEL_MIN_INTERVALS
+    the kernel does not run: no array call, and the oracle's bytes (the
+    scalar gauss2 step calls p and q on floats, twice each per step)."""
 
     @pytest.mark.parametrize("scheme", SCHEME_NAMES)
-    @pytest.mark.parametrize("n", [16, 2**13])
+    @pytest.mark.parametrize("n", [16, 64, 2**13])
     def test_call_counts(self, scheme, n):
         calls = []
         problem = counted_linear_problem(calls)
@@ -599,12 +679,17 @@ class TestOneCallPerBlock:
         stages = named_tableau(scheme).stages
         calls.clear()  # the spot-check of Problem's linear form
         got = integrate(scheme, problem, mesh).values
+        seen = calls.copy()
+        want = oracle(scheme, problem, mesh)
+        if n < KERNEL_MIN_INTERVALS:
+            assert seen == ([("p", ()), ("q", ())] * 2 * n if scheme == "gauss2" else [])
+            assert got.tobytes() == want.tobytes()
+            return
         blocks = [min(KERNEL_BLOCK, n - lo) for lo in range(0, n, KERNEL_BLOCK)]
         expected = []
         for m in blocks:
             expected += [("p", (stages * m,)), ("q", (stages * m,))]
-        assert calls == expected
-        want = oracle(scheme, problem, mesh)
+        assert seen == expected
         assert np.abs(got - want).max() <= ulp_bound(want)
 
     @pytest.mark.parametrize("scheme", SCHEME_NAMES)
@@ -648,9 +733,11 @@ class TestScan:
         assert all(scan_width(2**k + 1) == widths[k] for k in range(2, 23))
         assert scan_width(2**40) == KERNEL_BLOCK
 
-    @pytest.mark.parametrize("n", [2**4, 2**9, SCAN_MIN_INTERVALS - 2])
+    @pytest.mark.parametrize("n", [2**4, 2**6, 2**9, SCAN_MIN_INTERVALS - 2])
     @pytest.mark.parametrize("scheme", SCHEME_NAMES)
     def test_width_one_is_the_plain_loop(self, scheme, n):
+        """The kernel's values are the plain loop over its D and S; integrate
+        returns them from KERNEL_MIN_INTERVALS on, and the oracle's below."""
         assert scan_width(n) == 1
         eps = 2.0**-4
         problem = make_builtin("layer1", eps)
@@ -661,6 +748,9 @@ class TestScan:
         for d_i, s_i in zip(d.tolist(), s.tolist()):
             y = y + (d_i * y + s_i)
             expected.append(y)
+        assert kernel_values(scheme, problem, mesh).tobytes() == np.array(expected).tobytes()
+        if n < KERNEL_MIN_INTERVALS:
+            expected = oracle(scheme, problem, mesh)
         got = integrate(scheme, problem, mesh).values
         assert got.tobytes() == np.array(expected).tobytes()
 
@@ -894,15 +984,17 @@ REAL_AXIS_BOUND = {2: 2.0, 3: 2.5127453266183286}
 @example(fraction=1.1)
 def test_first_step_is_the_stability_function(scheme, fraction):
     """On eps*y' = -y from y = 1, one step is R(z) = 1 + z b^T (I - zA)^-1 1
-    with z = -h/eps, within 4 ulps of max(1, |z|)^s.  Below the real-axis
-    bound (fraction < 1) the kernel runs; above it the explicit schemes
-    are expansive and the scalar driver runs."""
+    with z = -h/eps, within 4 ulps of max(1, |z|)^s.  On 64 intervals,
+    below the real-axis bound (fraction < 1), the kernel runs; above it
+    the explicit schemes are expansive and the scalar driver runs, as it
+    does at every fraction on 16 intervals."""
     tableau = named_tableau(scheme)
-    mesh = build_uniform_mesh(16)
-    h = float(mesh.widths[0])
-    eps = h / (fraction * REAL_AXIS_BOUND.get(tableau.stages, 2.0))
-    z = -h / eps
-    ones = np.ones(tableau.stages)
-    r = 1.0 + z * tableau.b @ np.linalg.solve(np.eye(tableau.stages) - z * tableau.a, ones)
-    got = integrate(scheme, make_builtin("decay", eps), mesh).values[1]
-    assert abs(got - r) <= 4.0 * 2.0**-52 * max(1.0, abs(z)) ** tableau.stages
+    for n in 16, KERNEL_MIN_INTERVALS:
+        mesh = build_uniform_mesh(n)
+        h = float(mesh.widths[0])
+        eps = h / (fraction * REAL_AXIS_BOUND.get(tableau.stages, 2.0))
+        z = -h / eps
+        ones = np.ones(tableau.stages)
+        r = 1.0 + z * tableau.b @ np.linalg.solve(np.eye(tableau.stages) - z * tableau.a, ones)
+        got = integrate(scheme, make_builtin("decay", eps), mesh).values[1]
+        assert abs(got - r) <= 4.0 * 2.0**-52 * max(1.0, abs(z)) ** tableau.stages

@@ -3,6 +3,7 @@
 import dataclasses
 import importlib.util
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -246,17 +247,23 @@ def load_perfbench_spans():
     return module
 
 
-@pytest.mark.parametrize("scheme, calls", [("gauss2", 2), ("heun", 1 + 2 * 16)])
-def test_instrumented_builtin_counts_and_keeps_values(scheme, calls):
+@pytest.mark.parametrize(
+    "scheme, n, calls",
+    [("gauss2", 16, 4 * 16), ("gauss2", 64, 2), ("heun", 16, 2 * 16), ("heun", 64, 1 + 2 * 64)],
+)
+def test_instrumented_builtin_counts_and_keeps_values(scheme, n, calls):
     """perfbench's instrument_problem swaps a builtin's callbacks after
-    construction: the run counts its callback calls (gauss2: p and q once
-    over 2*16 points; heun at h/eps = 4: p, which the gate rejects, then
-    two rhs calls per step) and returns the same values."""
+    construction: the run counts its callback calls and returns the same
+    values.  At h/eps = 4 on 64 intervals the kernel runs: gauss2 calls p
+    and q once over 2*64 points; heun calls p, which the gate rejects,
+    then rhs twice per step.  On 16 intervals the scalar driver runs from
+    the start: gauss2 calls p and q twice per step, heun rhs twice."""
     spans = load_perfbench_spans()
     tracer = spans.Tracer()
-    mesh = build_uniform_mesh(16)
-    expected = integrate(scheme, make_builtin("decay", 2.0**-6), mesh).values
-    problem = spans.instrument_problem(tracer, make_builtin("decay", 2.0**-6))
+    mesh = build_uniform_mesh(n)
+    eps = 1.0 / (4 * n)  # h/eps = 4
+    expected = integrate(scheme, make_builtin("decay", eps), mesh).values
+    problem = spans.instrument_problem(tracer, make_builtin("decay", eps))
     with tracer.span("run") as counters:
         values = integrate(scheme, problem, mesh).values
     assert values.tobytes() == expected.tobytes()
@@ -318,6 +325,17 @@ class TestLinearCoeffs:
         )
         with pytest.raises(ValueError, match="no linear form"):
             linear_coeffs_eval(plain, 0.5)
+
+    @pytest.mark.parametrize("eps", [2.0**-1074, 2.0**-1030])
+    def test_overflowing_coefficients_are_values_not_warnings(self, eps):
+        """layer1's scalar q divides a numpy scalar by eps, which overflows
+        below eps = 2^-1023; the helper returns the infinities, also under
+        the project's error::RuntimeWarning filter."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            p, q = linear_coeffs_eval(make_builtin("layer1", eps), 0.5)
+        assert (p, q) == (-math.inf, math.inf)
+        assert type(p) is float and type(q) is float
 
 
 def scalars_only(x):
