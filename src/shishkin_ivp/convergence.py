@@ -94,6 +94,15 @@ def build_mesh(
     )
 
 
+def _cell_error(scheme, problem, mesh_kind, eps, k, *grading) -> float:
+    """Max-norm error of sweep cell (eps, k); its mesh and trajectory die here."""
+    try:
+        trajectory = integrate(scheme, problem, build_mesh(mesh_kind, 2**k, eps, *grading))
+        return max_error(trajectory, problem)
+    except (ValueError, ArithmeticError) as exc:
+        raise type(exc)(f"sweep cell (eps={eps:.17g}, k={k}) failed: {exc}") from exc
+
+
 def run_sweep(
     scheme: str,
     problem_name: str,
@@ -105,8 +114,8 @@ def run_sweep(
     layer_constant: float = 1.0,
     split: float = 0.5,
 ) -> ConvergenceTable:
-    """Integrate over meshes N = 2^k for every (epsilon, k) and tabulate
-    errors with order estimates from consecutive refinements."""
+    """Integrate over meshes N = 2^k for every (epsilon, k), one cell at a
+    time, and tabulate errors with orders from consecutive refinements."""
     if not epsilons:
         raise ValueError("epsilons must be nonempty")
     if not 2 <= k_min < k_max:
@@ -117,16 +126,9 @@ def run_sweep(
     for eps in epsilons:
         problem = make_builtin(problem_name, eps)
         for k in k_range:
-            try:
-                mesh = build_mesh(
-                    mesh_kind, 2**k, eps, method_order, layer_constant, split
-                )
-                trajectory = integrate(scheme, problem, mesh)
-                errors[(eps, k)] = max_error(trajectory, problem)
-            except (ValueError, ArithmeticError) as exc:
-                raise type(exc)(
-                    f"sweep cell (eps={eps:.17g}, k={k}) failed: {exc}"
-                ) from exc
+            errors[(eps, k)] = _cell_error(
+                scheme, problem, mesh_kind, eps, k, method_order, layer_constant, split
+            )
 
     entries = {
         (eps, k): SweepCell(

@@ -69,7 +69,7 @@ class Problem:
         object.__setattr__(self, "_bounds", (self.x0 - slack, self.domain_end + slack))
         if self.exact is not None:
             y_start = self.exact(self.x0)
-            if abs(y_start - self.y0) > 1e-12:
+            if not abs(y_start - self.y0) <= 1e-12:  # a nan disagrees
                 raise ValueError(
                     f"exact({self.x0}) = {y_start!r} does not match y0 = {self.y0!r}"
                 )

@@ -298,18 +298,20 @@ def scan_width(n: int) -> int:
     return min(1 << (n.bit_length() - 1) // 2 - 2, KERNEL_BLOCK)
 
 
-def _scan(d, s, values):
+def _scan(d, values):
     """y <- y + (d*y + s) from values[0], over rows of C consecutive
-    intervals: d[j, r] and s[j, r] (shape (C, rows)) belong to interval
-    r*C + j, whose result goes to values[1 + r*C + j].
+    intervals: d[j, r] (shape (C, rows)) belongs to interval r*C + j,
+    whose s waits in its result slot values[1 + r*C + j] (no s grid).
 
     A two-level scan (Blelloch, CMU-CS-90-190; Martin & Cundy,
     arXiv:1709.04057) in increment form: (d1, s1) then (d2, s2) compose
     to ((d1 + d2) + d2*d1, (s1 + s2) + d2*s1), which keeps s = -d exact.
-    Pass 1 composes each row's map, a column at a time across all rows;
-    pass 2 carries the row ends with a scalar loop; pass 3 reruns the
-    other columns from the row starts.  With C = 1 only pass 2 runs."""
+    Pass 1 composes each row's map a column at a time, in three row-length
+    arrays; pass 2 carries the row ends, over the last column's s; pass 3
+    reruns the others from the row starts, each over its s (C = 1: pass 2)."""
     width, rows = d.shape
+    stop = width * rows
+    s = [values[j + 1 : j + 1 + stop : width] for j in range(width)]
     row_d, row_s = d[0], s[0]
     if width > 1:
         row_d, row_s, t = row_d.copy(), row_s.copy(), np.empty(rows)
@@ -326,13 +328,12 @@ def _scan(d, s, values):
     for d_r, s_r in zip(row_d.tolist(), row_s.tolist()):
         y = y + (d_r * y + s_r)
         append(y)
-    stop = width * rows
     values[width::width] = ends
     for j in range(width - 1):
         prev = values[j : j + stop : width]
         np.multiply(d[j], prev, out=t)
         t += s[j]
-        np.add(prev, t, out=values[j + 1 : j + 1 + stop : width])
+        np.add(prev, t, out=s[j])
 
 
 def _affine_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
@@ -344,22 +345,19 @@ def _affine_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
     y + (D*y + S), and the affine forms alpha*y + beta of the intermediates
     the scalar step computes from y, less any whose magnitude another
     repeats (the stages' p and q come as one (s, n) array each, from one
-    call per block).  D and S go into the scan's rows (see _scan; the last
-    row is padded with identity steps), and one headroom test follows the
-    scan.
+    call per block).  D goes into the scan's rows, S into its interval's
+    result slot (see _scan; padding steps are identities), so the call
+    holds its output, one 8N-byte D grid and KERNEL_BLOCK-sized
+    temporaries; one headroom test follows the scan.
     """
     nodes, widths = mesh.nodes, mesh.widths
     n = len(widths)
     width = scan_width(n)
     rows = -(-n // width)
-    d_rows, s_rows = np.zeros((2, width, rows))
-    values = np.empty(1 + width * rows)
+    d_rows, values = np.zeros((width, rows)), np.zeros(1 + width * rows)
     values[0] = float(problem.y0)
-    if tableau.explicit:
-        a, b = tableau.a.tolist(), tableau.b.tolist()
-        coefficients = partial(_explicit_coefficients, a, b)
-    else:
-        coefficients = _gauss2_coefficients
+    explicit = partial(_explicit_coefficients, tableau.a.tolist(), tableau.b.tolist())
+    coefficients = explicit if tableau.explicit else _gauss2_coefficients
     a_max = b_max = 0.0
     with np.errstate(all="ignore"):
         for lo in range(0, n, KERNEL_BLOCK):
@@ -371,12 +369,12 @@ def _affine_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
                 return None
             d, s, alphas, betas = found
             row, (full, tail) = lo // width, divmod(hi - lo, width)
-            for grid, block in (d_rows, d), (s_rows, s):
-                grid[:, row : row + full] = block[: full * width].reshape(full, width).T
-                grid[:tail, -1] = block[full * width :]
+            d_rows[:, row : row + full] = d[: full * width].reshape(full, width).T
+            d_rows[:tail, -1] = d[full * width :]
+            values[1 + lo : 1 + hi] = s
             a_max = max(a_max, max(np.abs(alpha).max() for alpha in alphas))
             b_max = max(b_max, max(np.abs(beta).max() for beta in betas))
-        _scan(d_rows, s_rows, values)
+        _scan(d_rows, values)
         y_max = max(values.max(), -values.min())
         if not y_max * a_max + b_max <= KERNEL_HEADROOM:
             return None

@@ -16,6 +16,7 @@ same order.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from shishkin_ivp import (
     make_builtin,
     max_error,
     named_tableau,
+    run_sweep,
 )
 from shishkin_ivp import steppers
 from shishkin_ivp.steppers import (
@@ -474,11 +476,17 @@ def kernel_block(tableau, problem, x, h):
 
 
 def kernel_coefficients(scheme, problem, mesh):
-    """The kernel's D and S for a mesh of one block."""
-    assert len(mesh.widths) <= KERNEL_BLOCK
+    """The kernel's D and S for a mesh, a block at a time as the kernel
+    computes them."""
     tableau = named_tableau(scheme)
-    _, found = kernel_block(tableau, problem, mesh.nodes[:-1], mesh.widths)
-    return found[0], found[1]
+    n = len(mesh.widths)
+    d, s = [], []
+    for lo in range(0, n, KERNEL_BLOCK):
+        hi = min(lo + KERNEL_BLOCK, n)
+        _, found = kernel_block(tableau, problem, mesh.nodes[lo:hi], mesh.widths[lo:hi])
+        d.append(found[0])
+        s.append(found[1])
+    return np.concatenate(d), np.concatenate(s)
 
 
 def reference_block(tableau, problem, x, h):
@@ -719,8 +727,8 @@ class TestOneCallPerBlock:
 
 class TestScan:
     """The two-level scan of the step recurrence: the plain loop at row
-    width C = 1, and within the oracle's ulp bound on both sides of every
-    change of C."""
+    width C = 1, its own plain-Python form at C > 1, bit for bit, and
+    within the oracle's ulp bound on both sides of every change of C."""
 
     def test_width_rule(self):
         """C is 1 below SCAN_MIN_INTERVALS, then the largest power of two
@@ -755,6 +763,42 @@ class TestScan:
         assert got.tobytes() == np.array(expected).tobytes()
 
     @pytest.mark.parametrize(
+        "scheme, kind, n",
+        [(scheme, "shishkin", 2**10) for scheme in SCHEME_NAMES]
+        + [(scheme, "uniform", n) for n in (3001, 5000) for scheme in SCHEME_NAMES]
+        + [("heun", "shishkin", 2**16)],
+    )
+    def test_two_level_scan_is_its_plain_python(self, scheme, kind, n):
+        """For C > 1 the kernel's values are, bit for bit, the scan written
+        out over its D and S: each row composed left to right in increment
+        form, the row ends carried from values[0], then every row rerun
+        from its start, its last value being the carried end.  The last
+        row of a ragged mesh is padded with identity steps (0, 0)."""
+        width = scan_width(n)
+        assert width > 1
+        eps = 2.0**-4
+        problem = make_builtin("layer1", eps)
+        mesh = mesh_for(kind, n, eps)
+        d, s = (part.tolist() for part in kernel_coefficients(scheme, problem, mesh))
+        rows = -(-n // width)
+        d += [0.0] * (rows * width - n)
+        s += [0.0] * (rows * width - n)
+        y = float(problem.y0)
+        expected = [y]
+        for r in range(rows):
+            cols = range(r * width, (r + 1) * width)
+            row_d, row_s = d[cols[0]], s[cols[0]]
+            for i in cols[1:]:
+                row_d, row_s = (row_d + d[i]) + d[i] * row_d, (row_s + s[i]) + d[i] * row_s
+            x, y = y, y + (row_d * y + row_s)
+            for i in cols[:-1]:
+                x = x + (d[i] * x + s[i])
+                expected.append(x)
+            expected.append(y)
+        got = kernel_values(scheme, problem, mesh)
+        assert got.tobytes() == np.array(expected[: n + 1]).tobytes()
+
+    @pytest.mark.parametrize(
         "scheme, n",
         [(scheme, 2**k + dn) for k in (10, 12, 14) for dn in (-2, 0) for scheme in SCHEME_NAMES]
         + [("heun", 2**16 - 2), ("heun", 2**16)],
@@ -786,6 +830,57 @@ class TestScan:
         monkeypatch.setattr(steppers, "scan_width", lambda n: width)
         problem = make_builtin("layer1", 2.0**-4)
         assert check_against_oracle(scheme, problem, build_uniform_mesh(5000)) == "kernel"
+
+
+def traced_peak(fn):
+    """Peak bytes that numpy and Python allocate while ``fn()`` runs, over
+    what was allocated when it started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """The memory rule at N = 2^17 (8N bytes per array of one double per
+    interval).  A linear integrate holds its output, one D grid and
+    temporaries bounded by KERNEL_BLOCK; run_sweep holds one cell at a
+    time."""
+
+    N = 2**17
+    EPS = 2.0**-8
+
+    #: Temporaries of integrate, in block-length arrays (8*KERNEL_BLOCK
+    #: bytes each): a block's stage abscissae, p and q at every stage, and
+    #: the affine forms with their intermediates.  Measured over 2*8N:
+    #: 20.2 (heun), 30.2 (rk3_a), 27.1 (gauss2); the bound allows a third
+    #: more than rk3_a.  The S half of the former (2, C, rows) grid was 32.
+    BLOCK_ARRAYS = 40
+
+    @pytest.mark.parametrize("scheme", ["heun", "rk3_a", "gauss2"])
+    def test_integrate_holds_output_and_one_grid(self, scheme):
+        problem = make_builtin("layer1", self.EPS)
+        mesh = mesh_for("shishkin", self.N, self.EPS)
+        assert scan_width(self.N) > 1 and kernel_values(scheme, problem, mesh) is not None
+        peak = traced_peak(lambda: integrate(scheme, problem, mesh))
+        assert peak <= 2 * 8 * self.N + self.BLOCK_ARRAYS * 8 * KERNEL_BLOCK
+
+    def test_sweep_holds_one_cell_at_a_time(self):
+        """Two cells, k = 16 then 17, peak no higher than a lone k = 17
+        cell (mesh build, integrate, max_error), give or take 4 KiB of
+        table and problem; holding on to the k = 16 cell's mesh and values
+        while the next is built adds about 1.5 * 8N."""
+
+        def cell():
+            problem = make_builtin("layer1", self.EPS)
+            max_error(integrate("heun", problem, mesh_for("shishkin", self.N, self.EPS)), problem)
+
+        lone = traced_peak(cell)
+        sweep = traced_peak(lambda: run_sweep("heun", "layer1", [self.EPS], 16, 17))
+        assert sweep <= lone + 4096
 
 
 class TestMaxError:

@@ -486,6 +486,18 @@ class TestProblemValidation:
                 exact=lambda x: math.exp(-x),
             )
 
+    def test_exact_that_is_nan_at_x0_does_not_match(self):
+        """A nan is no match for y0 (abs(nan - y0) > tol is False): kept, it
+        would make max_error skip every gap and report 0.0."""
+        with pytest.raises(ValueError, match="does not match y0"):
+            Problem(
+                epsilon=0.5,
+                x0=0.0,
+                y0=1.0,
+                rhs=lambda x, y: -y / 0.5,
+                exact=lambda x: float("nan"),
+            )
+
     @pytest.mark.parametrize(
         "field, value",
         [("x0", math.nan), ("x0", -math.inf), ("y0", math.nan), ("y0", math.inf),
