@@ -247,7 +247,7 @@ def exact_eval(problem: Problem, x):
     """Evaluate the attached exact solution at x, a float or a 1-d array.
 
     Arrays are evaluated in one call when ``exact`` accepts them and point
-    by point otherwise."""
+    by point, in order, otherwise."""
     if problem.exact is None:
         raise ValueError(f"problem {problem.label!r} carries no exact solution")
     if np.ndim(x) == 0:
@@ -262,5 +262,5 @@ def exact_eval(problem: Problem, x):
     with np.errstate(all="ignore"):
         values = array_eval(problem.exact, x)
         if values is None:
-            values = np.array([problem.exact(v) for v in x.tolist()], dtype=float)
+            values = np.fromiter(map(problem.exact, x.tolist()), float, len(x))
     return values

@@ -25,10 +25,8 @@ every error, are the per-step function's bit for bit.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
 
 import numpy as np
 
@@ -196,8 +194,8 @@ def _gauss2_step(problem: Problem, x_i: float, y_i: float, h_i: float) -> float:
 
 def _step_checks(problem: Problem, c, x, h):
     """The stage abscissae of a block of intervals, one (s, n) array whose
-    row j is x + c_j*h, and a list of the indices of the intervals that
-    fail the one rule for every tableau: h > 0, and x, x + h and every
+    row j is x + c_j*h, and the index of the first interval that fails the
+    one rule for every tableau, or None: h > 0, and x, x + h and every
     stage abscissa inside the domain (the checks of the step functions and
     rhs_eval, with h = 0 left to gauss2_linear_step).  It relies on
     0 <= c_j <= 1, true of every named tableau (README.md)."""
@@ -215,8 +213,8 @@ def _step_checks(problem: Problem, c, x, h):
     if end is None:
         end = x + h
     if h.min() > 0.0 and lo <= x.min() and end.max() <= hi:  # nan fails
-        return stage_x, []
-    return stage_x, np.flatnonzero(~((h > 0.0) & (lo <= x) & (end <= hi))).tolist()
+        return stage_x, None
+    return stage_x, int(np.argmin((h > 0.0) & (lo <= x) & (end <= hi)))
 
 
 def _on_stages(fn, stage_x):
@@ -229,9 +227,10 @@ def _on_stages(fn, stage_x):
 def _explicit_coefficients(a, b, p_fn, q_fn, stage_x, h):
     """Block coefficients (see _affine_integrate) of an explicit tableau
     given as lists a and b, by forward substitution of the stage slopes
-    k_j = alpha_j*y + beta_j for y' = p(x)*y + q(x).  D comes from p alone
-    and is tested before q is evaluated.  D, S and the forms' maxima are the
-    generic sums' doubles, from only the work that can change them (README)."""
+    k_j = alpha_j*y + beta_j for y' = p(x)*y + q(x).  D comes from p alone;
+    it is tested, and the alphas reduced, before q is evaluated.  D, S and
+    the maxima are the generic sums' doubles, from only the work that can
+    change them (README)."""
     ps = _on_stages(p_fn, stage_x)
     if ps is None:
         return None
@@ -243,6 +242,8 @@ def _explicit_coefficients(a, b, p_fn, q_fn, stage_x, h):
     d = h * sum(b_j * alpha for b_j, alpha in zip(b, alphas))
     if not np.abs(1.0 + d).max() <= 1.0:
         return None
+    a_max = max(np.abs(form).max() for form in [ps] + alphas[1:])
+    del alphas
     qs = _on_stages(q_fn, stage_x)
     if qs is None:
         return None
@@ -250,14 +251,14 @@ def _explicit_coefficients(a, b, p_fn, q_fn, stage_x, h):
         acc = [beta if w == 1.0 else w * beta for w, beta in zip(a_j, betas) if w]
         betas.append(p * (h * sum(acc[1:], acc[0])) + q if acc else q)
     s = h * sum(b_j * beta for b_j, beta in zip(b, betas))
-    return d, s, [ps] + alphas[1:], [qs] + betas[1:]
+    return d, s, a_max, max(np.abs(form).max() for form in [qs] + betas[1:])
 
 
 def _gauss2_coefficients(p_fn, q_fn, stage_x, h):
     """Block coefficients (see _affine_integrate) of the two-stage Gauss
     step, from the batched 2x2 stage solve by Cramer's rule; its
-    determinant is gauss2_linear_step's, bit for bit.  D is tested before
-    q is evaluated."""
+    determinant is gauss2_linear_step's, bit for bit.  D is tested, and
+    the alphas reduced, before q is evaluated."""
     g = GAUSS2_GAMMA
     ps = _on_stages(p_fn, stage_x)
     if ps is None:
@@ -272,12 +273,14 @@ def _gauss2_coefficients(p_fn, q_fn, stage_x, h):
     d = 0.5 * h * (alphas[0] + alphas[1]) / denom
     if not np.abs(1.0 + d).max() <= 1.0:
         return None
+    a_max = max(np.abs(form).max() for form in alphas + [ps])
+    del alphas
     qs = _on_stages(q_fn, stage_x)
     if qs is None:
         return None
     betas = [qs[0] * f2, qs[1] * f1]
     s = 0.5 * h * (betas[0] + betas[1]) / denom
-    return d, s, alphas + [ps], betas + [qs]
+    return d, s, a_max, max(np.abs(form).max() for form in betas + [qs])
 
 
 #: Meshes with fewer intervals run the step recurrence as a plain loop
@@ -341,14 +344,14 @@ def _affine_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
     the gate that integrate documents.
 
     Per block of intervals that pass _step_checks the coefficient
-    functions return None (gate failed) or (D, S, alphas, betas): the step
-    y + (D*y + S), and the affine forms alpha*y + beta of the intermediates
-    the scalar step computes from y, less any whose magnitude another
-    repeats (the stages' p and q come as one (s, n) array each, from one
-    call per block).  D goes into the scan's rows, S into its interval's
-    result slot (see _scan; padding steps are identities), so the call
-    holds its output, one 8N-byte D grid and KERNEL_BLOCK-sized
-    temporaries; one headroom test follows the scan.
+    functions return None (gate failed) or (D, S, a_max, b_max): the step
+    y + (D*y + S), and the maximum magnitudes of alpha and beta over the
+    affine forms alpha*y + beta of the intermediates the scalar step
+    computes from y (p and q come from one call per block each).  D goes
+    into the scan's rows, S into its interval's result slot (see _scan;
+    padding steps are identities), so the call holds its output, one
+    8N-byte D grid and KERNEL_BLOCK-sized temporaries; one headroom test
+    follows the scan.
     """
     nodes, widths = mesh.nodes, mesh.widths
     n = len(widths)
@@ -364,16 +367,15 @@ def _affine_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
             hi = min(lo + KERNEL_BLOCK, n)
             h = widths[lo:hi]
             stage_x, failed = _step_checks(problem, tableau.c, nodes[lo:hi], h)
-            found = None if failed else coefficients(*problem.linear, stage_x, h)
+            found = None if failed is not None else coefficients(*problem.linear, stage_x, h)
             if found is None:
                 return None
-            d, s, alphas, betas = found
+            d, s, block_a, block_b = found
             row, (full, tail) = lo // width, divmod(hi - lo, width)
             d_rows[:, row : row + full] = d[: full * width].reshape(full, width).T
             d_rows[:tail, -1] = d[full * width :]
             values[1 + lo : 1 + hi] = s
-            a_max = max(a_max, max(np.abs(alpha).max() for alpha in alphas))
-            b_max = max(b_max, max(np.abs(beta).max() for beta in betas))
+            a_max, b_max = max(a_max, block_a), max(b_max, block_b)
         _scan(d_rows, values)
         y_max = max(values.max(), -values.min())
         if not y_max * a_max + b_max <= KERNEL_HEADROOM:
@@ -403,14 +405,13 @@ def _gauss2_scalar_integrate(problem: Problem, mesh: Mesh) -> np.ndarray:
     return values
 
 
-# The straight-line steps: explicit_rk_step's arithmetic in its operation
-# order (acc and update start at 0.0, so a -0.0 sum becomes +0.0; h is
-# finite, so the first stage's y + h*0.0 is y + 0.0), for steps the caller
-# has checked.  Each runs the rows (h, x_1, ..., x_s) of widths and stage
-# abscissae, appends every result to ``out`` and returns the last y.  It
-# stops before a step whose rhs raises or whose result is not finite,
-# which it is whenever a stage slope is (b_j*k_j is inf or nan, 0*inf
-# included); explicit_rk_step then redoes that step.
+# The straight-line steps: explicit_rk_step's arithmetic for checked steps,
+# with sums from their first term, not from +0.0, which changes only a step
+# from y = -0.0 (README).  Each runs the rows (h, x_1, ..., x_s) of widths
+# and stage abscissae, appends every result to ``out`` and returns the last
+# y.  It stops before a step from y = -0.0, one whose rhs raises, or one
+# whose result is not finite, as it is whenever a stage slope is (b_j*k_j
+# is inf or nan, 0*inf included); explicit_rk_step then redoes that step.
 
 
 def _two_stage_steps(f, a, b, y, rows, out):
@@ -419,9 +420,11 @@ def _two_stage_steps(f, a, b, y, rows, out):
     isfinite = math.isfinite
     try:
         for h, x1, x2 in rows:
-            k1 = f(x1, y + 0.0)
-            k2 = f(x2, y + h * (0.0 + a21 * k1))
-            y_next = y + h * (0.0 + b1 * k1 + b2 * k2)
+            if not y and math.copysign(1.0, y) < 0.0:
+                break
+            k1 = f(x1, y)
+            k2 = f(x2, y + h * (a21 * k1))
+            y_next = y + h * (b1 * k1 + b2 * k2)
             if not isfinite(y_next):
                 break
             out.append(y_next)
@@ -438,10 +441,12 @@ def _three_stage_steps(f, a, b, y, rows, out):
     isfinite = math.isfinite
     try:
         for h, x1, x2, x3 in rows:
-            k1 = f(x1, y + 0.0)
-            k2 = f(x2, y + h * (0.0 + a21 * k1))
-            k3 = f(x3, y + h * (0.0 + a31 * k1 + a32 * k2))
-            y_next = y + h * (0.0 + b1 * k1 + b2 * k2 + b3 * k3)
+            if not y and math.copysign(1.0, y) < 0.0:
+                break
+            k1 = f(x1, y)
+            k2 = f(x2, y + h * (a21 * k1))
+            k3 = f(x3, y + h * (a31 * k1 + a32 * k2))
+            y_next = y + h * (b1 * k1 + b2 * k2 + b3 * k3)
             if not isfinite(y_next):
                 break
             out.append(y_next)
@@ -456,10 +461,10 @@ def _explicit_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
     ``explicit_rk_step`` per interval.
 
     Per block of intervals, numpy makes the checks explicit_rk_step makes
-    per step (_step_checks).  Steps that pass run straight-line; a
-    step that fails them, or that the straight-line loop stops at, goes to
-    explicit_rk_step, and the loop resumes after it.  The named explicit
-    tableaux have two or three stages.
+    per step (_step_checks).  Up to the first failed one, steps run
+    straight-line from one row iterator; a step the loop stops at goes to
+    explicit_rk_step, and the loop resumes after it (explicit_rk_step
+    raises at a failed one).  The named explicit tableaux have 2 or 3 stages.
     """
     steps = _two_stage_steps if tableau.stages == 2 else _three_stage_steps
     a, b, c = tableau.a.tolist(), tableau.b.tolist(), tableau.c.tolist()
@@ -472,20 +477,14 @@ def _explicit_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
         for lo in range(0, n, KERNEL_BLOCK):
             hi = min(lo + KERNEL_BLOCK, n)
             stage_x, failed = _step_checks(problem, c, nodes[lo:hi], widths[lo:hi])
-            columns = [widths[lo:hi].tolist()] + stage_x.tolist()
-            m = hi - lo
-            # A straight-line run ends at the next failed step, or earlier.
-            stops = failed + [m]
+            stop = hi if failed is None else lo + failed
+            rows = zip(widths[lo:stop].tolist(), *stage_x[:, : stop - lo].tolist())
             block = []
-            while len(block) < m:
-                end = stops[bisect_left(stops, len(block))]
-                rows = islice(zip(*columns), len(block), end)
-                y = steps(f, a, b, y, rows, block)
-                if len(block) < m:
-                    i = lo + len(block)
-                    x_i, h_i = float(nodes[i]), float(widths[i])
-                    y = _numbered(i, explicit_rk_step, tableau, problem, x_i, y, h_i)
-                    block.append(y)
+            y = steps(f, a, b, y, rows, block)
+            while (i := lo + len(block)) < hi:
+                x_i, h_i = float(nodes[i]), float(widths[i])
+                block.append(_numbered(i, explicit_rk_step, tableau, problem, x_i, y, h_i))
+                y = steps(f, a, b, block[-1], rows, block)
             values[lo + 1 : hi + 1] = block
     return values
 
@@ -530,7 +529,7 @@ def integrate(scheme: str, problem: Problem, mesh: Mesh) -> Trajectory:
     if mismatched:
         # A mesh that fails the step rule keeps the scalar driver's error
         # (gauss2's driver accepts h = 0, which the rule does not).
-        if _step_checks(problem, (), nodes[:-1], mesh.widths)[1]:
+        if _step_checks(problem, (), nodes[:-1], mesh.widths)[1] is not None:
             scalar_driver(problem, mesh)
         i = mismatched[0]
         raise ValueError(

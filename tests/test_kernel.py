@@ -459,20 +459,13 @@ class TestGate:
 
 def kernel_block(tableau, problem, x, h):
     """The kernel's coefficient layer on one block: the stage abscissae,
-    then None (gate failed) or D, S and the headroom maxima as
-    ``_affine_integrate`` reduces them."""
+    then None (gate failed) or D, S and the block's headroom maxima."""
     stage_x, failed = steppers._step_checks(problem, tableau.c, x, h)
-    assert not failed
+    assert failed is None
     if tableau.explicit:
         lists = tableau.a.tolist(), tableau.b.tolist()
-        found = steppers._explicit_coefficients(*lists, *problem.linear, stage_x, h)
-    else:
-        found = steppers._gauss2_coefficients(*problem.linear, stage_x, h)
-    if found is None:
-        return stage_x, None
-    d, s, alphas, betas = found
-    a_max = max(np.abs(alpha).max() for alpha in alphas)
-    return stage_x, (d, s, a_max, max(np.abs(beta).max() for beta in betas))
+        return stage_x, steppers._explicit_coefficients(*lists, *problem.linear, stage_x, h)
+    return stage_x, steppers._gauss2_coefficients(*problem.linear, stage_x, h)
 
 
 def kernel_coefficients(scheme, problem, mesh):
@@ -590,11 +583,11 @@ class TestCoefficientLayer:
 
     @pytest.mark.parametrize("scheme", SCHEME_NAMES)
     def test_failed_intervals_are_the_generic_rule(self, scheme):
-        """_step_checks reports exactly the intervals that fail h > 0 with
-        x, x + h and every x + c_j*h inside the domain, on blocks that all
-        pass and on blocks with zero, negative, nan and inf widths, nan
-        nodes and nodes outside the domain; where an interval passes, its
-        stage abscissae are x + c_j*h bit for bit."""
+        """_step_checks reports the first interval that fails h > 0 with
+        x, x + h and every x + c_j*h inside the domain, or None, on blocks
+        that all pass and on blocks with zero, negative, nan and inf
+        widths, nan nodes and nodes outside the domain; where an interval
+        passes, its stage abscissae are x + c_j*h bit for bit."""
         c = named_tableau(scheme).c
         problem = make_builtin("decay", 1.0)
         lo, hi = steppers.domain_bounds(problem)
@@ -615,8 +608,10 @@ class TestCoefficientLayer:
                 for x_j in stage:
                     ok &= (lo <= x_j) & (x_j <= hi)
                 got_stage, failed = steppers._step_checks(problem, c, x, h)
-            assert failed == np.flatnonzero(~ok).tolist()
-            assert (failed == []) == (trial % 4 == 0)
+            bad_intervals = np.flatnonzero(~ok).tolist()
+            assert failed == (bad_intervals[0] if bad_intervals else None)
+            assert type(failed) is (int if bad_intervals else type(None))
+            assert (failed is None) == (trial % 4 == 0)
             assert all(map(same_bits, [g[ok] for g in got_stage], [e[ok] for e in stage]))
 
     @pytest.mark.parametrize("scheme", SCHEME_NAMES)
@@ -856,8 +851,10 @@ class TestMemory:
     #: Temporaries of integrate, in block-length arrays (8*KERNEL_BLOCK
     #: bytes each): a block's stage abscissae, p and q at every stage, and
     #: the affine forms with their intermediates.  Measured over 2*8N:
-    #: 20.2 (heun), 30.2 (rk3_a), 27.1 (gauss2); the bound allows a third
-    #: more than rk3_a.  The S half of the former (2, C, rows) grid was 32.
+    #: 13.1 (heun), 19.1 (rk3_a), 17.1 (gauss2), with the alpha forms
+    #: reduced before q is evaluated (20.2, 30.2 and 27.1 when every form
+    #: outlived the block); the bound is kept at a third more than 30.2.
+    #: The S half of the former (2, C, rows) grid was 32.
     BLOCK_ARRAYS = 40
 
     @pytest.mark.parametrize("scheme", ["heun", "rk3_a", "gauss2"])
@@ -910,6 +907,68 @@ class TestMaxError:
         trajectory = Trajectory(mesh=mesh, values=values, scheme_id="s", problem_id="p")
         assert max_error(trajectory, problem) == pytest.approx(1e-3, rel=1e-9)
 
+    #: Scalar-only exact solutions with y(0) = 1: a float, an int and a
+    #: numpy scalar per point.
+    SCALAR_EXACTS = {
+        "float": lambda x: math.exp(-x),
+        "int": lambda x: 1 + int(7.0 * x),
+        "numpy": lambda x: np.float32(math.exp(-x)),
+    }
+
+    @staticmethod
+    def scalar_only(value, calls, fail_at=None, failure=None):
+        """``value`` as an exact that rejects arrays, records its floats in
+        ``calls`` and raises ``failure`` at ``fail_at``."""
+
+        def exact(x):
+            if isinstance(x, np.ndarray):
+                raise TypeError("scalars only")
+            calls.append(x)
+            if x == fail_at:
+                raise failure
+            return value(x)
+
+        return exact
+
+    @pytest.mark.parametrize("kind", sorted(SCALAR_EXACTS))
+    def test_pointwise_path_is_a_per_point_loop(self, kind):
+        """Across a KERNEL_BLOCK boundary the pointwise path calls exact
+        once per node, in order, and gives the loop's doubles byte for
+        byte; max_error reduces them like the blocked path."""
+        value = self.SCALAR_EXACTS[kind]
+        mesh = build_uniform_mesh(KERNEL_BLOCK + 37)
+        nodes = mesh.nodes.tolist()
+        calls = []
+        exact = self.scalar_only(value, calls)
+        problem = dataclasses.replace(custom(lambda x, y: -y), exact=exact)
+        loop = np.array([float(value(x)) for x in nodes])
+        calls.clear()
+        assert exact_eval(problem, mesh.nodes).tobytes() == loop.tobytes()
+        assert calls == nodes
+        values = np.cos(mesh.nodes)
+        trajectory = Trajectory(mesh=mesh, values=values, scheme_id="s", problem_id="p")
+        assert max_error(trajectory, problem) == np.abs(loop - values).max()
+
+    @pytest.mark.parametrize("via", ["exact_eval", "max_error"])
+    def test_exact_raising_mid_block_raises_the_same(self, via):
+        """The exception exact raises at a node inside the second block
+        propagates as it is, after the calls before it and no other."""
+        mesh = build_uniform_mesh(KERNEL_BLOCK + 37)
+        nodes = mesh.nodes.tolist()
+        bad = KERNEL_BLOCK + 5
+        calls, failure = [], ZeroDivisionError("exact failed")
+        exact = self.scalar_only(self.SCALAR_EXACTS["float"], calls, nodes[bad], failure)
+        problem = dataclasses.replace(custom(lambda x, y: -y), exact=exact)
+        trajectory = Trajectory(mesh=mesh, values=np.cos(mesh.nodes), scheme_id="s", problem_id="p")
+        calls.clear()
+        with pytest.raises(ZeroDivisionError) as raised:
+            if via == "exact_eval":
+                exact_eval(problem, mesh.nodes)
+            else:
+                max_error(trajectory, problem)
+        assert raised.value is failure
+        assert calls == nodes[: bad + 1]
+
 
 def check_bit_identical(scheme, problem, mesh):
     """Assert that integrate is the oracle bit for bit: the same values,
@@ -956,6 +1015,26 @@ def custom(rhs, y0=1.0):
     return Problem(epsilon=1.0, x0=0.0, y0=y0, rhs=rhs, label="custom")
 
 
+#: Starts at the edges of the doubles: signed zeros, subnormals and
+#: magnitudes a few steps from overflow.
+SIGNED_STARTS = (0.0, -0.0, 5e-324, -5e-324, 1e-320, -1e-320, 1e308, -1e308)
+
+#: Right-hand sides for those starts: signed zero slopes, slopes whose
+#: products with h underflow, decay, and two overflows (an infinite slope
+#: and math's OverflowError).
+EDGE_RHS = {
+    "+0": lambda x, y: 0.0,
+    "-0": lambda x, y: -0.0,
+    "-0*y": lambda x, y: -0.0 * y,
+    "-y": lambda x, y: -y,
+    "tiny-": lambda x, y: -5e-324,
+    "tiny+": lambda x, y: 5e-324,
+    "tiny*x": lambda x, y: -1e-320 * x,
+    "4y": lambda x, y: 4.0 * y,
+    "exp": lambda x, y: math.exp(y),
+}
+
+
 class TestScalarDriver:
     """The explicit scalar driver against one explicit_rk_step per
     interval, bit for bit."""
@@ -997,6 +1076,42 @@ class TestScalarDriver:
             problem = make_builtin("layer1", eps)
             mesh = mesh_for("shishkin", n, eps)
             check_bit_identical(scheme, problem, mesh)
+
+    @pytest.mark.parametrize("scheme", EXPLICIT_SCHEMES)
+    def test_signed_zeros_subnormals_and_overflow(self, scheme):
+        """Every start in SIGNED_STARTS against every rhs in EDGE_RHS, on
+        meshes of 8 and 100 intervals: the same values, rhs arguments
+        (sign bits included) and errors as the oracle, whose sums start at
+        +0.0 where the straight-line steps start at their first term."""
+        outcomes = []
+        for y0 in SIGNED_STARTS:
+            for rhs in EDGE_RHS.values():
+                for n in (8, 100):
+                    outcomes.append(check_bit_identical(scheme, custom(rhs, y0), build_uniform_mesh(n)))
+        assert 0 < outcomes.count("raised") < len(outcomes) / 2
+
+    @pytest.mark.parametrize("scheme", ["heun", "rk3_kutta"])
+    def test_negative_zero_start_and_an_underflowing_sum(self, scheme):
+        """From y = -0.0 with rhs = -5e-324, the oracle passes a stage -0.0
+        (a nonzero a_jk*k sum whose product with h underflows); the driver
+        hands that step to explicit_rk_step and matches it."""
+        calls = []
+        problem = custom(lambda x, y: calls.append(y) or -5e-324, y0=-0.0)
+        tableau = named_tableau(scheme)
+        explicit_rk_step(tableau, problem, 0.0, -0.0, 0.125)
+        assert [math.copysign(1.0, y) for y in calls[1:]].count(-1.0) == 1
+        assert check_bit_identical(scheme, problem, build_uniform_mesh(8)) == "identical"
+
+    @pytest.mark.parametrize("scheme", EXPLICIT_SCHEMES)
+    def test_negative_zero_run_across_a_block_boundary(self, scheme):
+        """rhs = -1e-320 from y = -0.0: h*update underflows to -0.0 at every
+        step, so y stays -0.0 and every step is handed over, in both
+        blocks."""
+        problem = custom(lambda x, y: -1e-320, y0=-0.0)
+        mesh = build_uniform_mesh(KERNEL_BLOCK + 8)
+        assert check_bit_identical(scheme, problem, mesh) == "identical"
+        values = integrate(scheme, problem, mesh).values
+        assert not values.any() and np.signbit(values).all()
 
     @pytest.mark.parametrize("scheme", EXPLICIT_SCHEMES)
     def test_negative_zero_keeps_its_sign(self, scheme):

@@ -136,6 +136,35 @@ class TestBuiltinBits:
             assert_builtin_bits(name, 2.0**log2_eps)
 
 
+def on_floats_and_on_an_array(fn, xs):
+    """fn on each float of xs, and fn on xs as one array (a scalar result
+    broadcast), as the bytes of two float64 arrays."""
+    with np.errstate(all="ignore"):
+        one_by_one = np.array([fn(x) for x in xs], dtype=float)
+        array = np.array(xs)
+        at_once = np.broadcast_to(np.asarray(fn(array), dtype=float), array.shape)
+    return one_by_one.tobytes(), at_once.tobytes()
+
+
+class TestBuiltinFloatArrayIdentity:
+    """The builtins' p and q give the same doubles on a float as on an
+    array, sign bits included, over the whole eps range and domain: the
+    scalar Gauss step evaluates them on floats, the kernel on arrays."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        log2_eps=st.floats(min_value=-1074.0, max_value=0.0),
+        xs=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=48),
+    )
+    def test_property(self, log2_eps, xs):
+        eps = 2.0**log2_eps
+        for name in BUILTIN_NAMES:
+            for fn in make_builtin(name, eps).linear:
+                for points in xs, BIT_X.tolist():
+                    one_by_one, at_once = on_floats_and_on_an_array(fn, points)
+                    assert one_by_one == at_once, (name, eps)
+
+
 class TestSpotCheck:
     """Problem spot-checks a linear form against rhs at x0, the midpoint
     and domain_end; make_builtin's problems skip it."""
