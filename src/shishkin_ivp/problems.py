@@ -209,15 +209,10 @@ def linear_coeffs_eval(problem: Problem, x: float) -> tuple[float, float]:
     """Evaluate the linear coefficients (p(x), q(x)) as Python floats.  A
     numpy coefficient that overflows gives its inf or nan, not a
     RuntimeWarning."""
-    with np.errstate(all="ignore"):
-        return _linear_coeffs(problem, x)
-
-
-def _linear_coeffs(problem: Problem, x: float) -> tuple[float, float]:
-    """linear_coeffs_eval without its np.errstate, for callers that hold one."""
     if problem.linear is None:
         raise ValueError(f"problem {problem.label!r} carries no linear form")
-    return float(problem.linear[0](x)), float(problem.linear[1](x))
+    with np.errstate(all="ignore"):
+        return float(problem.linear[0](x)), float(problem.linear[1](x))
 
 
 def array_eval(fn: Callable, x: np.ndarray) -> np.ndarray | None:

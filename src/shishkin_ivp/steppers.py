@@ -1,9 +1,9 @@
 """Single Runge-Kutta steps and whole-mesh integration.
 
-Two scalar step kernels are provided: a generic driver for any explicit
-tableau, and the closed-form two-stage Gauss step for problems with a
-linear right-hand side (the implicit stage system is solved symbolically,
-so no iteration is needed).  Nonlinear implicit stepping is out of scope.
+Two step functions are provided: a generic one for any explicit tableau,
+and the closed-form two-stage Gauss step for problems with a linear
+right-hand side (the implicit stage system is solved symbolically, so no
+iteration is needed).  Nonlinear implicit stepping is out of scope.
 
 On a linear problem y' = p(x)*y + q(x) every step of every tableau is
 affine in y, y_{i+1} = y_i + (D_i*y_i + S_i): the variable-coefficient
@@ -15,11 +15,11 @@ on meshes of at least KERNEL_MIN_INTERVALS intervals, whenever it can
 show that the scalar driver would give the same values up to rounding;
 otherwise the scalar driver, the oracle, runs the mesh.
 
-For explicit schemes the scalar driver is ``explicit_rk_step``'s arithmetic
-with its checks hoisted out of the loop: numpy checks each block of
-intervals, the stages run straight-line, and any step the driver cannot
-vouch for is handed to ``explicit_rk_step`` itself, so the values, and
-every error, are the per-step function's bit for bit.
+The scalar driver, one for all six tableaux, is the step functions'
+arithmetic with their checks hoisted out of the loop: numpy checks each
+block of intervals, the steps run straight-line, and any step the driver
+cannot vouch for is handed to the step function itself, so the values,
+and every error, are the per-step function's bit for bit.
 """
 
 from __future__ import annotations
@@ -34,10 +34,10 @@ from .mesh import Mesh, inconsistent_widths
 from .problems import (
     EvaluationError,
     Problem,
-    _linear_coeffs,
     array_eval,
     domain_bounds,
     domain_slack,
+    linear_coeffs_eval,
     rhs_eval,
 )
 from .tableaux import GAUSS2_GAMMA, ButcherTableau, named_tableau
@@ -52,8 +52,8 @@ KERNEL_BLOCK = 4096
 #: Meshes with fewer intervals skip the kernel and run the scalar driver,
 #: whose whole run there costs less than the kernel's ~60 fixed numpy calls.
 #: One value for all tableaux: the explicit schemes cross over at 64-128
-#: intervals or later, gauss2 (its scalar step evaluates p and q on
-#: floats) at 16-64 on the builtins, so it alone can pay a little below 64.
+#: intervals or later, gauss2 (four float p and q calls, ~1.7 us a step on
+#: layer1) at 24-32, so it alone pays up to ~50 us a run from there to 64.
 KERNEL_MIN_INTERVALS = 64
 
 #: The kernel requires max|y| * max|coefficient| + max|offset| over the
@@ -155,41 +155,34 @@ def gauss2_linear_step(
         y + h/2 * [(p1*y + q1)(1 + p2*gamma*h) + (p2*y + q2)(1 - p1*gamma*h)] / D,
         D = (1 - p1*h/4)(1 - p2*h/4) - p1*p2*(1/16 - gamma^2)*h^2.
 
-    A numpy coefficient that overflows surfaces as the step's own error,
-    not as a RuntimeWarning.
+    A numpy coefficient or argument that overflows surfaces as the step's
+    own error, not as a RuntimeWarning.
     """
     with np.errstate(all="ignore"):
-        return _gauss2_step(problem, x_i, y_i, h_i)
-
-
-def _gauss2_step(problem: Problem, x_i: float, y_i: float, h_i: float) -> float:
-    """gauss2_linear_step without its np.errstate, for callers that hold one."""
-    if problem.linear is None:
-        raise ValueError(
-            f"problem {problem.label!r} has no linear form; the closed-form "
-            "Gauss step requires y' = p(x)*y + q(x)"
-        )
-    if h_i < 0.0:
-        raise ValueError(f"step size must be nonnegative, got {h_i}")
-    _check_step_domain(problem, x_i, h_i)
-    g = GAUSS2_GAMMA
-    p1, q1 = _linear_coeffs(problem, x_i + (0.5 - g) * h_i)
-    p2, q2 = _linear_coeffs(problem, x_i + (0.5 + g) * h_i)
-    denom = _gauss2_determinant(p1, p2, h_i)
-    if abs(denom) <= SINGULAR_DENOMINATOR_TOL:
-        raise SingularStepError(
-            f"singular stage system (|D| = {abs(denom):.3e}) "
-            f"at x={x_i!r}, h={h_i!r}"
-        )
-    numer = (p1 * y_i + q1) * (1.0 + p2 * g * h_i) + (p2 * y_i + q2) * (
-        1.0 - p1 * g * h_i
-    )
-    result = y_i + 0.5 * h_i * numer / denom
-    if not math.isfinite(result):
-        raise StageEvaluationError(
-            f"non-finite Gauss step result at x={x_i!r}, h={h_i!r}"
-        )
-    return result
+        if problem.linear is None:
+            raise ValueError(
+                f"problem {problem.label!r} has no linear form; the closed-form "
+                "Gauss step requires y' = p(x)*y + q(x)"
+            )
+        if h_i < 0.0:
+            raise ValueError(f"step size must be nonnegative, got {h_i}")
+        _check_step_domain(problem, x_i, h_i)
+        g = GAUSS2_GAMMA
+        p1, q1 = linear_coeffs_eval(problem, x_i + (0.5 - g) * h_i)
+        p2, q2 = linear_coeffs_eval(problem, x_i + (0.5 + g) * h_i)
+        denom = _gauss2_determinant(p1, p2, h_i)
+        if abs(denom) <= SINGULAR_DENOMINATOR_TOL:
+            raise SingularStepError(
+                f"singular stage system (|D| = {abs(denom):.3e}) "
+                f"at x={x_i!r}, h={h_i!r}"
+            )
+        numer = (p1 * y_i + q1) * (1.0 + p2 * g * h_i) + (p2 * y_i + q2) * (1.0 - p1 * g * h_i)
+        result = y_i + 0.5 * h_i * numer / denom
+        if not math.isfinite(result):
+            raise StageEvaluationError(
+                f"non-finite Gauss step result at x={x_i!r}, h={h_i!r}"
+            )
+        return result
 
 
 def _step_checks(problem: Problem, c, x, h):
@@ -383,35 +376,13 @@ def _affine_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
     return values[: n + 1]
 
 
-def _numbered(i: int, step, *args):
-    """``step(*args)`` as the step of interval i: a blow-up is re-raised
-    as ``step i failed: ...``, with the same class."""
-    try:
-        return step(*args)
-    except (StageEvaluationError, SingularStepError) as exc:
-        raise type(exc)(f"step {i} failed: {exc}") from exc
-
-
-def _gauss2_scalar_integrate(problem: Problem, mesh: Mesh) -> np.ndarray:
-    """Node values from ``gauss2_linear_step``, one step per interval."""
-    values = np.empty(len(mesh.nodes))
-    y = values[0] = float(problem.y0)
-    # An overflowing numpy coefficient surfaces as the step's error, not
-    # as a warning.
-    with np.errstate(all="ignore"):
-        for i, (x, h) in enumerate(zip(mesh.nodes.tolist(), mesh.widths.tolist())):
-            y = _numbered(i, _gauss2_step, problem, x, y, h)
-            values[i + 1] = y
-    return values
-
-
-# The straight-line steps: explicit_rk_step's arithmetic for checked steps,
-# with sums from their first term, not from +0.0, which changes only a step
-# from y = -0.0 (README).  Each runs the rows (h, x_1, ..., x_s) of widths
-# and stage abscissae, appends every result to ``out`` and returns the last
-# y.  It stops before a step from y = -0.0, one whose rhs raises, or one
-# whose result is not finite, as it is whenever a stage slope is (b_j*k_j
-# is inf or nan, 0*inf included); explicit_rk_step then redoes that step.
+# The straight-line steps: the step functions' arithmetic for checked steps,
+# the explicit sums from their first term, not from +0.0 (README).  Each runs
+# the rows (h, x_1, ..., x_s) of widths and stage abscissae, appends every
+# result to ``out`` and returns the last y.  It stops before a step whose
+# callback raises, whose result is not finite (an explicit one is whenever a
+# stage slope is), from y = -0.0 (explicit: the one y the +0.0 can change) or
+# with a singular stage system (Gauss); the step function then redoes it.
 
 
 def _two_stage_steps(f, a, b, y, rows, out):
@@ -456,19 +427,45 @@ def _three_stage_steps(f, a, b, y, rows, out):
     return y
 
 
-def _explicit_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
-    """Node values of an explicit scheme, bit for bit those of one
-    ``explicit_rk_step`` per interval.
+def _gauss2_steps(linear, a, b, y, rows, out):
+    g = GAUSS2_GAMMA
+    isfinite = math.isfinite
+    try:
+        p, q = linear  # None, a problem with no linear form: handed over
+        for h, x1, x2 in rows:
+            p1, q1 = float(p(x1)), float(q(x1))
+            p2, q2 = float(p(x2)), float(q(x2))
+            denom = _gauss2_determinant(p1, p2, h)
+            if abs(denom) <= SINGULAR_DENOMINATOR_TOL:
+                break
+            numer = (p1 * y + q1) * (1.0 + p2 * g * h) + (p2 * y + q2) * (1.0 - p1 * g * h)
+            y_next = y + 0.5 * h * numer / denom
+            if not isfinite(y_next):
+                break
+            out.append(y_next)
+            y = y_next
+    except Exception:  # re-raised by gauss2_linear_step on hand-off
+        pass
+    return y
 
-    Per block of intervals, numpy makes the checks explicit_rk_step makes
-    per step (_step_checks).  Up to the first failed one, steps run
-    straight-line from one row iterator; a step the loop stops at goes to
-    explicit_rk_step, and the loop resumes after it (explicit_rk_step
-    raises at a failed one).  The named explicit tableaux have 2 or 3 stages.
+
+def _scalar_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
+    """Node values bit for bit those of one step function call per
+    interval: ``explicit_rk_step``, or ``gauss2_linear_step`` for gauss2.
+
+    Per block of intervals, numpy makes the step functions' checks
+    (_step_checks).  Up to the first failed one, steps run straight-line
+    from one row iterator; a step the loop stops at goes to the step
+    function, and the loop resumes after it (a failed interval raises
+    there, or, at h = 0 for gauss2, leaves the rest of its block to the
+    step function).  The named explicit tableaux have 2 or 3 stages.
     """
-    steps = _two_stage_steps if tableau.stages == 2 else _three_stage_steps
     a, b, c = tableau.a.tolist(), tableau.b.tolist(), tableau.c.tolist()
-    f = problem.rhs
+    if tableau.explicit:
+        steps = _two_stage_steps if tableau.stages == 2 else _three_stage_steps
+        f, step = problem.rhs, partial(explicit_rk_step, tableau)
+    else:
+        steps, f, step = _gauss2_steps, problem.linear, gauss2_linear_step
     nodes, widths = mesh.nodes, mesh.widths
     n = len(widths)
     values = np.empty(n + 1)
@@ -482,9 +479,12 @@ def _explicit_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
             block = []
             y = steps(f, a, b, y, rows, block)
             while (i := lo + len(block)) < hi:
-                x_i, h_i = float(nodes[i]), float(widths[i])
-                block.append(_numbered(i, explicit_rk_step, tableau, problem, x_i, y, h_i))
-                y = steps(f, a, b, block[-1], rows, block)
+                try:
+                    y = step(problem, float(nodes[i]), y, float(widths[i]))
+                except (StageEvaluationError, SingularStepError) as exc:
+                    raise type(exc)(f"step {i} failed: {exc}") from exc
+                block.append(y)
+                y = steps(f, a, b, y, rows, block)
             values[lo + 1 : hi + 1] = block
     return values
 
@@ -505,10 +505,10 @@ def integrate(scheme: str, problem: Problem, mesh: Mesh) -> Trajectory:
     when that is 1), and its values differ from the scalar driver's by a
     few ulps per step, the same from run to run.  Otherwise the scalar
     driver runs, with values and errors exactly those of one step function
-    call per interval: ``explicit_rk_step`` for explicit schemes (a step
-    that fails, or whose result is not finite, is redone by that function,
-    which calls ``rhs`` again), ``gauss2_linear_step`` for ``gauss2`` (so
-    it requires a linear problem).  Blow-ups raise with the failing
+    call per interval: ``explicit_rk_step`` for explicit schemes,
+    ``gauss2_linear_step`` for ``gauss2`` (so it requires a linear problem);
+    a step it hands over is redone by that function, which calls ``rhs``,
+    or ``p`` and ``q``, again.  Blow-ups raise with the failing
     ``step N``.  A mesh not made by the mesh builders whose widths
     disagree with its node differences (``mesh.inconsistent_widths``)
     raises ValueError, after the scalar driver's own error if any step
@@ -522,15 +522,12 @@ def integrate(scheme: str, problem: Problem, mesh: Mesh) -> Trajectory:
             f"[{problem.x0}, {problem.domain_end}]"
         )
     tableau = named_tableau(scheme)
-    scalar_driver = (
-        partial(_explicit_integrate, tableau) if tableau.explicit else _gauss2_scalar_integrate
-    )
     mismatched = [] if mesh._widths_match_nodes else inconsistent_widths(nodes, mesh.widths)
     if mismatched:
         # A mesh that fails the step rule keeps the scalar driver's error
-        # (gauss2's driver accepts h = 0, which the rule does not).
+        # (gauss2_linear_step accepts h = 0, which the rule does not).
         if _step_checks(problem, (), nodes[:-1], mesh.widths)[1] is not None:
-            scalar_driver(problem, mesh)
+            _scalar_integrate(tableau, problem, mesh)
         i = mismatched[0]
         raise ValueError(
             f"mesh width {float(mesh.widths[i])!r} inconsistent with node "
@@ -540,7 +537,7 @@ def integrate(scheme: str, problem: Problem, mesh: Mesh) -> Trajectory:
     if problem.linear is not None and len(mesh.widths) >= KERNEL_MIN_INTERVALS:
         values = _affine_integrate(tableau, problem, mesh)
     if values is None:
-        values = scalar_driver(problem, mesh)
+        values = _scalar_integrate(tableau, problem, mesh)
     return Trajectory(
         mesh=mesh,
         values=values,

@@ -972,16 +972,33 @@ class TestMaxError:
 
 def check_bit_identical(scheme, problem, mesh):
     """Assert that integrate is the oracle bit for bit: the same values,
-    from the same rhs arguments when every value is finite (a step with a
-    non-finite result is redone by the oracle), or the same exception
-    class and message.  Return how the run ended."""
+    from the same callback arguments, in the same order, when every value
+    is finite (a step with a non-finite result is redone by the oracle),
+    or the same exception class and message.  The callbacks logged are
+    rhs for an explicit scheme, p and q for gauss2 (their float calls: the
+    kernel's array calls, made before its gate rejects a run, are not the
+    oracle's).  Return how the run ended."""
     calls = []
 
     def rhs(x, y):
         calls.append((x, y))
         return problem.rhs(x, y)
 
-    counted = dataclasses.replace(problem, rhs=rhs)
+    def logged(tag, fn):
+        def coefficient(x):
+            if not isinstance(x, np.ndarray):
+                calls.append((tag, x))
+            return fn(x)
+
+        return coefficient
+
+    if scheme == "gauss2" and problem.linear is not None:
+        # rhs carries the logged pair as its linear form, as make_builtin's
+        # does, so Problem makes no spot-check calls.
+        rhs._linear_form = linear = (logged(0.0, problem.linear[0]), logged(1.0, problem.linear[1]))
+        counted = dataclasses.replace(problem, rhs=rhs, linear=linear)
+    else:
+        counted = dataclasses.replace(problem, rhs=rhs)
     calls.clear()
     try:
         expected = oracle(scheme, counted, mesh)
@@ -1015,6 +1032,40 @@ def custom(rhs, y0=1.0):
     return Problem(epsilon=1.0, x0=0.0, y0=y0, rhs=rhs, label="custom")
 
 
+def scalar_only(fn):
+    """``fn`` rejecting arrays, so that the kernel cannot take a run."""
+
+    def on_floats(x):
+        if isinstance(x, np.ndarray):
+            raise TypeError("scalars only")
+        return fn(x)
+
+    return on_floats
+
+
+def scalar_only_builtin(name, eps):
+    """make_builtin's problem with p and q rejecting arrays; its rhs
+    carries that pair, so Problem does not spot-check it."""
+    builtin = make_builtin(name, eps)
+
+    def rhs(x, y):
+        return builtin.rhs(x, y)
+
+    rhs._linear_form = form = tuple(map(scalar_only, builtin.linear))
+    return dataclasses.replace(builtin, rhs=rhs, linear=form)
+
+
+def linear(p, q, y0=1.0):
+    """y' = p(x)*y + q(x) on [0, 1]; its rhs carries the pair as its linear
+    form, as make_builtin's does, so Problem does not spot-check it."""
+
+    def rhs(x, y):
+        return p(x) * y + q(x)
+
+    rhs._linear_form = form = (p, q)
+    return Problem(epsilon=1.0, x0=0.0, y0=y0, rhs=rhs, linear=form, label="linear")
+
+
 #: Starts at the edges of the doubles: signed zeros, subnormals and
 #: magnitudes a few steps from overflow.
 SIGNED_STARTS = (0.0, -0.0, 5e-324, -5e-324, 1e-320, -1e-320, 1e308, -1e308)
@@ -1036,8 +1087,9 @@ EDGE_RHS = {
 
 
 class TestScalarDriver:
-    """The explicit scalar driver against one explicit_rk_step per
-    interval, bit for bit."""
+    """The scalar driver against one step function call per interval, bit
+    for bit: explicit_rk_step for the explicit schemes, gauss2_linear_step
+    for gauss2."""
 
     @pytest.mark.parametrize("kind", ["shishkin", "uniform"])
     @pytest.mark.parametrize("scheme", EXPLICIT_SCHEMES)
@@ -1179,6 +1231,112 @@ class TestScalarDriver:
             assert str(raised.value) == f"step 0 failed: {message}"
         assert calls == [0.0, 0.5] * 2
         assert check_bit_identical("heun", problem, build_uniform_mesh(2)) == "raised"
+
+
+    @pytest.mark.parametrize("kind", ["shishkin", "uniform"])
+    @pytest.mark.parametrize("name", ["decay", "layer1"])
+    def test_gauss2_scalar_only_builtins_across_a_block_boundary(self, name, kind):
+        """Scalar-only p and q keep the kernel out, so KERNEL_BLOCK + 8
+        intervals run the driver across a block boundary: values, p and q
+        arguments and errors are the oracle's from eps = 1 to 2^-1074
+        (where the mesh can be built; p = -1/eps overflows below ~2^-1023)."""
+        outcomes = {}
+        for eps in (1.0, 2.0**-4, 2.0**-12, 2.0**-40, 2.0**-1000, 2.0**-1074):
+            try:
+                mesh = mesh_for(kind, KERNEL_BLOCK + 8, eps)
+            except ValueError:  # the Shishkin nodes would repeat
+                continue
+            outcomes[eps] = check_bit_identical("gauss2", scalar_only_builtin(name, eps), mesh)
+        assert outcomes[1.0] == outcomes[2.0**-40] == "identical"
+
+    @pytest.mark.parametrize("zero_at", [20, 100, KERNEL_BLOCK + 3])
+    def test_gauss2_zero_width_interval(self, zero_at):
+        """gauss2_linear_step accepts h = 0, which fails the block checks:
+        it takes that interval and the rest of its block, and a later
+        block runs straight-line again."""
+        base = build_uniform_mesh(KERNEL_BLOCK + 8)
+        nodes = np.insert(base.nodes, zero_at, base.nodes[zero_at])
+        widths = np.insert(base.widths, zero_at, 0.0)
+        mesh = Mesh(nodes=nodes, widths=widths, kind="hand-built")
+        problem = scalar_only_builtin("layer1", 2.0**-4)
+        assert check_bit_identical("gauss2", problem, mesh) == "identical"
+        values = integrate("gauss2", problem, mesh).values
+        assert values[zero_at + 1] == values[zero_at]
+
+    @pytest.mark.parametrize("n", [40, KERNEL_BLOCK + 16])
+    def test_gauss2_singular_stage_system_at_a_chosen_step(self, n):
+        """p = (4/h)(1 - 2^-50) at the first stage abscissa of one step and
+        0 elsewhere makes that step's determinant tiny but not zero, so
+        only the singularity test stops the straight-line step there."""
+        mesh = build_uniform_mesh(n)
+        i = n - 11
+        h = float(mesh.widths[i])
+        x1 = float(mesh.nodes[i]) + (0.5 - GAUSS2_GAMMA) * h
+        p_bad = 4.0 / h * (1.0 - 2.0**-50)
+        assert 0.0 < abs(steppers._gauss2_determinant(p_bad, 0.0, h)) <= 1e-14
+        problem = linear(scalar_only(lambda x: p_bad if x == x1 else 0.0), lambda x: 1.0)
+        assert check_bit_identical("gauss2", problem, mesh) == "raised"
+        with pytest.raises(SingularStepError, match=f"^step {i} failed: singular stage system"):
+            integrate("gauss2", problem, mesh)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [lambda: math.nan, lambda: math.inf, lambda: np.float64(1e300) * np.float64(1e300)],
+        ids=["nan", "inf", "numpy-overflow"],
+    )
+    @pytest.mark.parametrize("n", [40, KERNEL_BLOCK + 16])
+    def test_gauss2_non_finite_result(self, n, bad):
+        """q turns non-finite from step n - 11 on: StageEvaluationError,
+        with the oracle's message."""
+        mesh = build_uniform_mesh(n)
+        i = n - 11
+        x_bad = float(mesh.nodes[i])
+        problem = linear(scalar_only(lambda x: -1.0), scalar_only(lambda x: bad() if x > x_bad else x))
+        assert check_bit_identical("gauss2", problem, mesh) == "raised"
+        with pytest.raises(StageEvaluationError, match=f"^step {i} failed: non-finite Gauss"):
+            integrate("gauss2", problem, mesh)
+
+    @pytest.mark.parametrize("n", [40, KERNEL_BLOCK + 16])
+    def test_gauss2_raising_p_at_a_chosen_step(self, n):
+        """An exception from p propagates unchanged, class and message."""
+        mesh = build_uniform_mesh(n)
+        x_bad = float(mesh.nodes[n - 11])
+
+        def p(x):
+            if x > x_bad:
+                raise ZeroDivisionError(f"custom division at {x!r}")
+            return -1.0
+
+        problem = linear(scalar_only(p), scalar_only(lambda x: x))
+        assert check_bit_identical("gauss2", problem, mesh) == "raised"
+        with pytest.raises(ZeroDivisionError, match="^custom division at "):
+            integrate("gauss2", problem, mesh)
+
+    @pytest.mark.parametrize("p_value", [0.0, -1.0])
+    @pytest.mark.parametrize("n", [8, KERNEL_BLOCK + 8])
+    def test_gauss2_negative_zero_start(self, n, p_value):
+        """From y0 = -0.0 with q = -0.0: p = 0 keeps every value -0.0 and
+        p = -1 turns the first step's result into +0.0, as in the oracle."""
+        problem = linear(scalar_only(lambda x: p_value), scalar_only(lambda x: -0.0), y0=-0.0)
+        mesh = build_uniform_mesh(n)
+        assert check_bit_identical("gauss2", problem, mesh) == "identical"
+        values = integrate("gauss2", problem, mesh).values
+        assert not values.any()
+        assert np.signbit(values).tolist() == [True] + [p_value == 0.0] * n
+
+    @pytest.mark.parametrize("n", [8, KERNEL_BLOCK + 8])
+    def test_gauss2_without_a_linear_form(self, n):
+        """gauss2 on a problem with no linear form raises the step
+        function's ValueError at step 0."""
+        problem = custom(lambda x, y: -y)
+        assert check_bit_identical("gauss2", problem, build_uniform_mesh(n)) == "raised"
+        message = (
+            "problem 'custom' has no linear form; the closed-form Gauss step "
+            "requires y' = p(x)*y + q(x)"
+        )
+        with pytest.raises(ValueError) as raised:
+            integrate("gauss2", problem, build_uniform_mesh(n))
+        assert str(raised.value) == message
 
 
 #: |R(z)| <= 1 on [-bound, 0] of the real axis: 2 for the two-stage
