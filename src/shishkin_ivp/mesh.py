@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .problems import _check_epsilon
+
 #: Saturation cap of the transition point: the layer piece never covers
 #: more than half of the domain.
 SIGMA_CAP = 0.5
@@ -39,12 +41,12 @@ class ShishkinParams:
         Perturbation parameter, in (0, 1].
     method_order:
         Mesh grading order n (typically the convergence order of the
-        intended scheme), integer >= 1.
+        intended scheme), finite and >= 1.
     layer_constant:
         Finite positive constant b scaling the layer width estimate.
     split:
         Fraction alpha of intervals placed inside the layer, in (0, 1).
-        alpha * N must be integral.
+        alpha * N must be, within 1e-9, an integer m with 0 < m < N.
     """
 
     n_intervals: int
@@ -58,22 +60,16 @@ class ShishkinParams:
             raise ValueError(
                 f"n_intervals must be even and >= 4, got {self.n_intervals}"
             )
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon}")
-        if self.method_order < 1:
-            raise ValueError(f"method_order must be >= 1, got {self.method_order}")
+        _check_epsilon(self.epsilon)
+        if not (math.isfinite(self.method_order) and self.method_order >= 1):
+            raise ValueError(
+                f"method_order must be finite and >= 1, got {self.method_order}"
+            )
         if not (math.isfinite(self.layer_constant) and self.layer_constant > 0.0):
             raise ValueError(
                 f"layer_constant must be finite and positive, got {self.layer_constant}"
             )
-        if not 0.0 < self.split < 1.0:
-            raise ValueError(f"split must be in (0, 1), got {self.split}")
-        m = self.split * self.n_intervals
-        if abs(m - round(m)) > 1e-9:
-            raise ValueError(
-                f"split * n_intervals must be integral, got {m} "
-                f"(split={self.split}, n_intervals={self.n_intervals})"
-            )
+        _fine_intervals(self.n_intervals, self.split, SIGMA_CAP)  # any sigma in range
 
 
 @dataclass(frozen=True)
@@ -117,14 +113,30 @@ def _built(nodes, widths, kind: str, sigma: float | None) -> Mesh:
     return mesh
 
 
+def _check_map(alpha: float, sigma: float):
+    """The two-piece map's ranges: alpha in (0, 1), then sigma in (0, SIGMA_CAP]."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if not 0.0 < sigma <= SIGMA_CAP:
+        raise ValueError(f"sigma must be in (0, {SIGMA_CAP}], got {sigma}")
+
+
+def _fine_intervals(n_intervals: int, alpha: float, sigma: float) -> int:
+    """The split rule, after _check_map: m = alpha*N, integral and interior."""
+    _check_map(alpha, sigma)
+    m = round(alpha * n_intervals)
+    if abs(alpha * n_intervals - m) > 1e-9 or not 0 < m < n_intervals:
+        raise ValueError(
+            f"alpha * n_intervals must be integral and interior, "
+            f"got {alpha * n_intervals}"
+        )
+    return m
+
+
 def transition_point(params: ShishkinParams) -> float:
     """Transition abscissa sigma = min(1/2, (n/b) * eps * ln N)."""
-    scaled = (
-        (params.method_order / params.layer_constant)
-        * params.epsilon
-        * math.log(params.n_intervals)
-    )
-    return min(SIGMA_CAP, scaled)
+    n, b, eps = params.method_order, params.layer_constant, params.epsilon
+    return min(SIGMA_CAP, (n / b) * eps * math.log(params.n_intervals))
 
 
 def generating_function_eval(sigma: float, alpha: float, xi: float) -> float:
@@ -134,10 +146,7 @@ def generating_function_eval(sigma: float, alpha: float, xi: float) -> float:
     linear continuation through (1, 1).  Continuous at alpha with value
     exactly sigma, and endpoint values exactly 0 and 1.
     """
-    if not 0.0 < sigma <= SIGMA_CAP:
-        raise ValueError(f"sigma must be in (0, {SIGMA_CAP}], got {sigma}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    _check_map(alpha, sigma)
     if not 0.0 <= xi <= 1.0:
         raise ValueError(f"xi must be in [0, 1], got {xi}")
     if xi <= alpha:
@@ -158,16 +167,7 @@ def build_from_sigma(n_intervals: int, alpha: float, sigma: float) -> Mesh:
     """
     if n_intervals < 2:
         raise ValueError(f"n_intervals must be >= 2, got {n_intervals}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if not 0.0 < sigma <= SIGMA_CAP:
-        raise ValueError(f"sigma must be in (0, {SIGMA_CAP}], got {sigma}")
-    m = round(alpha * n_intervals)
-    if abs(alpha * n_intervals - m) > 1e-9 or not 0 < m < n_intervals:
-        raise ValueError(
-            f"alpha * n_intervals must be integral and interior, "
-            f"got {alpha * n_intervals}"
-        )
+    m = _fine_intervals(n_intervals, alpha, sigma)
     h_fine = sigma / m
     h_coarse = (1.0 - sigma) / (n_intervals - m)
     # Node i is i*h_fine on the fine piece and sigma + (i - m)*h_coarse on

@@ -63,8 +63,7 @@ class Problem:
             raise ValueError(
                 f"domain_end must exceed x0, got [{self.x0}, {self.domain_end}]"
             )
-        # domain_bounds, computed once: the scalar steps test it at every
-        # stage.
+        # domain_bounds, computed once: every domain check reads it.
         slack = domain_slack(self)
         object.__setattr__(self, "_bounds", (self.x0 - slack, self.domain_end + slack))
         if self.exact is not None:
@@ -114,13 +113,15 @@ def domain_bounds(problem: Problem) -> tuple[float, float]:
     return problem._bounds
 
 
-def _check_domain(problem: Problem, x: float):
+def _check_domain(problem: Problem, x: float, h: float | None = None):
+    """The domain rule: the point x, or the step [x, x + h], in domain_bounds."""
     lo, hi = domain_bounds(problem)
-    if not lo <= x <= hi:
-        raise ValueError(
-            f"x = {x!r} outside problem domain "
-            f"[{problem.x0}, {problem.domain_end}]"
-        )
+    if lo <= x and (x if h is None else x + h) <= hi:  # nan fails
+        return
+    domain = f"[{problem.x0}, {problem.domain_end}]"
+    if h is None:
+        raise ValueError(f"x = {float(x)!r} outside problem domain {domain}")
+    raise ValueError(f"step from x={x} with h={h} leaves the domain {domain}")
 
 
 def make_builtin(name: str, epsilon: float) -> Problem:
@@ -251,9 +252,8 @@ def exact_eval(problem: Problem, x):
             return problem.exact(x)
     x = np.asarray(x, dtype=float)
     lo, hi = domain_bounds(problem)
-    if len(x) and not (lo <= x.min() and x.max() <= hi):
-        for value in x.tolist():
-            _check_domain(problem, value)
+    if len(x) and not (lo <= x.min() and x.max() <= hi):  # nan fails
+        _check_domain(problem, x[np.argmin((lo <= x) & (x <= hi))])
     with np.errstate(all="ignore"):
         values = array_eval(problem.exact, x)
         if values is None:

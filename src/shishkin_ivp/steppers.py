@@ -34,6 +34,7 @@ from .mesh import Mesh, inconsistent_widths
 from .problems import (
     EvaluationError,
     Problem,
+    _check_domain,
     array_eval,
     domain_bounds,
     domain_slack,
@@ -86,17 +87,6 @@ class Trajectory:
         object.__setattr__(self, "values", values)
 
 
-def _check_step_domain(problem: Problem, x_i: float, h_i: float):
-    """Raise ValueError unless the step [x_i, x_i + h_i] lies inside the
-    problem's domain."""
-    lo, hi = domain_bounds(problem)
-    if not (lo <= x_i and x_i + h_i <= hi):
-        raise ValueError(
-            f"step from x={x_i} with h={h_i} leaves the domain "
-            f"[{problem.x0}, {problem.domain_end}]"
-        )
-
-
 def explicit_rk_step(
     tableau: ButcherTableau, problem: Problem, x_i: float, y_i: float, h_i: float
 ) -> float:
@@ -110,7 +100,7 @@ def explicit_rk_step(
         )
     if not h_i > 0.0:
         raise ValueError(f"step size must be positive, got {h_i}")
-    _check_step_domain(problem, x_i, h_i)
+    _check_domain(problem, x_i, h_i)
     a, b, c = tableau.a.tolist(), tableau.b.tolist(), tableau.c.tolist()
     k = [0.0] * tableau.stages
     for j in range(tableau.stages):
@@ -166,7 +156,7 @@ def gauss2_linear_step(
             )
         if h_i < 0.0:
             raise ValueError(f"step size must be nonnegative, got {h_i}")
-        _check_step_domain(problem, x_i, h_i)
+        _check_domain(problem, x_i, h_i)
         g = GAUSS2_GAMMA
         p1, q1 = linear_coeffs_eval(problem, x_i + (0.5 - g) * h_i)
         p2, q2 = linear_coeffs_eval(problem, x_i + (0.5 + g) * h_i)

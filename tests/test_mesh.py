@@ -67,11 +67,33 @@ class TestTransitionPoint:
             dict(alpha=0.0),
             dict(alpha=1.0),
             dict(n=10, alpha=0.15),  # alpha * N not integral
+            dict(order=math.nan),
+            dict(order=math.inf),
+            dict(n=4, alpha=1e-12),  # alpha * N rounds to 0 fine intervals
+            dict(n=4, alpha=1 - 1e-12),  # ... or to all N of them
         ],
     )
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(ValueError):
             params(**kwargs)
+
+    @pytest.mark.parametrize("order", [math.nan, math.inf])
+    def test_method_order_must_be_finite(self, order):
+        """A nan or infinite n would give sigma = 1/2 silently."""
+        with pytest.raises(ValueError, match="method_order must be finite"):
+            params(n=8, eps=0.01, order=order)
+
+    @pytest.mark.parametrize(
+        "n, alpha", [(4, 1e-12), (4, 1 - 1e-12), (10, 0.15), (8, 0.0), (8, math.nan)]
+    )
+    def test_split_messages_are_the_builders(self, n, alpha):
+        """ShishkinParams rejects a split with build_from_sigma's text, at
+        construction rather than when the mesh is built."""
+        with pytest.raises(ValueError) as built:
+            build_from_sigma(n, alpha, 0.25)
+        with pytest.raises(ValueError) as constructed:
+            params(n=n, alpha=alpha)
+        assert str(constructed.value) == str(built.value)
 
     @pytest.mark.parametrize("b", [float("inf"), float("nan")])
     def test_layer_constant_must_be_finite(self, b):

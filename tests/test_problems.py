@@ -314,6 +314,13 @@ class TestRhsEval:
         with pytest.raises(ValueError, match="outside problem domain"):
             rhs_eval(make_builtin("decay", 1.0), 1.5, 1.0)
 
+    @pytest.mark.parametrize("x", [1.5, pytest.param(np.float64(1.5), id="float64")])
+    def test_outside_domain_message(self, x):
+        """The point prints as a Python float, not as a numpy repr."""
+        with pytest.raises(ValueError) as raised:
+            rhs_eval(make_builtin("decay", 1.0), x, 1.0)
+        assert str(raised.value) == "x = 1.5 outside problem domain [0.0, 1.0]"
+
     def test_non_finite_rejected(self):
         bad = Problem(
             epsilon=1.0, x0=0.0, y0=0.0, rhs=lambda x, y: math.nan, label="nan"
@@ -461,6 +468,28 @@ class TestExactEval:
         )
         with pytest.raises(ValueError, match="no exact solution"):
             exact_eval(plain, 0.5)
+
+    @pytest.mark.parametrize(
+        "x, shown",
+        [
+            (1.5, "1.5"),
+            pytest.param(np.float64(1.5), "1.5", id="float64"),
+            (math.nan, "nan"),
+            (np.array([0.0, 0.5, 1.5, -1.0]), "1.5"),  # the first bad node
+            (np.array([0.0, math.nan, 2.0]), "nan"),
+            ([0.25, -0.5], "-0.5"),
+        ],
+    )
+    def test_outside_domain_message(self, x, shown):
+        with pytest.raises(ValueError) as raised:
+            exact_eval(make_builtin("decay", 1.0), x)
+        assert str(raised.value) == f"x = {shown} outside problem domain [0.0, 1.0]"
+
+    def test_domain_slack_and_empty_array_pass(self):
+        problem = make_builtin("layer1", 0.5)
+        assert math.isfinite(exact_eval(problem, 1 + 1e-12))
+        assert np.isfinite(exact_eval(problem, np.array([0.0, 1 + 1e-12]))).all()
+        assert exact_eval(problem, np.array([])).shape == (0,)
 
 
 class TestDomainBounds:

@@ -104,6 +104,11 @@ class TestExplicitStep:
         problem = make_builtin("decay", 1.0)
         with pytest.raises(ValueError, match="domain"):
             explicit_rk_step(named_tableau("heun"), problem, 0.9, 1.0, 0.2)
+        with pytest.raises(ValueError) as raised:
+            explicit_rk_step(
+                named_tableau("heun"), problem, np.float64(0.9), 1.0, np.float64(0.2)
+            )
+        assert str(raised.value) == "step from x=0.9 with h=0.2 leaves the domain [0.0, 1.0]"
 
     def test_non_finite_stage_identified(self):
         exploding = Problem(
@@ -161,7 +166,11 @@ class TestGauss2Step:
         problem = make_builtin("decay", 0.25)
         assert gauss2_linear_step(problem, 0.3, 0.7, 0.0) == 0.7
 
-    @pytest.mark.parametrize("x, h", [(5.0, 0.5), (0.9, 0.2), (-0.5, 0.2)])
+    @pytest.mark.parametrize(
+        "x, h",
+        [(5.0, 0.5), (0.9, 0.2), (-0.5, 0.2),
+         pytest.param(np.float64(0.9), np.float64(0.2), id="float64")],
+    )
     def test_rejects_step_leaving_domain(self, x, h):
         """The same ValueError as explicit_rk_step's, before p or q is
         evaluated outside [0, 1]."""
