@@ -424,27 +424,20 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    mesh = subs.add_parser("mesh", help="dump mesh nodes as CSV")
-    _add_common(mesh, with_scheme=False)
-    mesh.add_argument("--n-intervals", type=int, required=True)
-
-    solve = subs.add_parser("solve", help="solve once and dump the solution")
-    _add_common(solve)
-    solve.add_argument("--n-intervals", type=int, required=True)
-
-    sweep = subs.add_parser("sweep", help="error/order table over N = 2^k")
-    _add_common(sweep)
-    sweep.add_argument("--kmin", type=int, required=True)
-    sweep.add_argument("--kmax", type=int, required=True)
-    sweep.add_argument("--format", choices=("csv", "md"), default="csv")
-
-    stability = subs.add_parser(
-        "stability", help="oscillation diagnostic for one configuration"
-    )
-    _add_common(stability)
-    stability.add_argument("--n-intervals", type=int, required=True)
-
+    for name, help_text in (
+        ("mesh", "dump mesh nodes as CSV"),
+        ("solve", "solve once and dump the solution"),
+        ("sweep", "error/order table over N = 2^k"),
+        ("stability", "oscillation diagnostic for one configuration"),
+    ):
+        sub = subs.add_parser(name, help=help_text)
+        _add_common(sub, with_scheme=name != "mesh")
+        if name != "sweep":
+            sub.add_argument("--n-intervals", type=int, required=True)
+            continue
+        sub.add_argument("--kmin", type=int, required=True)
+        sub.add_argument("--kmax", type=int, required=True)
+        sub.add_argument("--format", choices=("csv", "md"), default="csv")
     return parser
 
 

@@ -130,18 +130,10 @@ def run_sweep(
                 scheme, problem, mesh_kind, eps, k, method_order, layer_constant, split
             )
 
-    entries = {
-        (eps, k): SweepCell(
-            error=errors[(eps, k)],
-            order=(
-                shishkin_order(errors[(eps, k)], errors[(eps, k + 1)], k)
-                if k < k_max
-                else None
-            ),
-        )
-        for eps in epsilons
-        for k in k_range
-    }
+    entries = {}
+    for (eps, k), error in errors.items():
+        order = shishkin_order(error, errors[(eps, k + 1)], k) if k < k_max else None
+        entries[(eps, k)] = SweepCell(error=error, order=order)
     return ConvergenceTable(
         scheme_id=scheme,
         problem_id=problem_name,

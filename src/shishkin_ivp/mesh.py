@@ -56,15 +56,10 @@ class ShishkinParams:
     split: float = 0.5
 
     def __post_init__(self):
-        if self.n_intervals < 4 or self.n_intervals % 2 != 0:
-            raise ValueError(
-                f"n_intervals must be even and >= 4, got {self.n_intervals}"
-            )
+        _check_count(self.n_intervals, 4, even=True)
         _check_epsilon(self.epsilon)
         if not (math.isfinite(self.method_order) and self.method_order >= 1):
-            raise ValueError(
-                f"method_order must be finite and >= 1, got {self.method_order}"
-            )
+            raise ValueError(f"method_order must be finite and >= 1, got {self.method_order}")
         if not (math.isfinite(self.layer_constant) and self.layer_constant > 0.0):
             raise ValueError(
                 f"layer_constant must be finite and positive, got {self.layer_constant}"
@@ -111,6 +106,14 @@ def _built(nodes, widths, kind: str, sigma: float | None) -> Mesh:
     mesh = Mesh(nodes=nodes, widths=widths, kind=kind, sigma=sigma)
     object.__setattr__(mesh, "_widths_match_nodes", True)
     return mesh
+
+
+def _check_count(n_intervals: int, least: int, even: bool = False):
+    """The interval-count rule: an int or numpy integer, >= least, even if asked."""
+    if isinstance(n_intervals, bool) or not isinstance(n_intervals, (int, np.integer)):
+        raise ValueError(f"n_intervals must be an integer, got {n_intervals!r}")
+    if n_intervals < least or even and n_intervals % 2:
+        raise ValueError(f"n_intervals must be {'even and ' * even}>= {least}, got {n_intervals}")
 
 
 def _check_map(alpha: float, sigma: float):
@@ -165,8 +168,7 @@ def build_from_sigma(n_intervals: int, alpha: float, sigma: float) -> Mesh:
     multiples of them with the junction pinned to sigma and the endpoints
     to 0 and 1.
     """
-    if n_intervals < 2:
-        raise ValueError(f"n_intervals must be >= 2, got {n_intervals}")
+    _check_count(n_intervals, 2)
     m = _fine_intervals(n_intervals, alpha, sigma)
     h_fine = sigma / m
     h_coarse = (1.0 - sigma) / (n_intervals - m)
@@ -207,8 +209,7 @@ def build_uniform_mesh(
     """Equidistant mesh with h = (x_hi - x_lo) / N, on finite endpoints,
     with a finite positive h and strictly increasing nodes."""
     x_lo, x_hi = interval
-    if n_intervals < 1:
-        raise ValueError(f"n_intervals must be >= 1, got {n_intervals}")
+    _check_count(n_intervals, 1)
     if not (math.isfinite(x_lo) and math.isfinite(x_hi)):
         raise ValueError(f"interval endpoints must be finite, got [{x_lo}, {x_hi}]")
     if not x_lo < x_hi:

@@ -72,14 +72,10 @@ class Problem:
                 raise ValueError(
                     f"exact({self.x0}) = {y_start!r} does not match y0 = {self.y0!r}"
                 )
-        if self.linear is not None and self.linear is not getattr(
-            self.rhs, "_linear_form", None
-        ):
+        if self.linear is not None and not _trusted_linear(self):
             # Spot-check the advertised linear form at the domain ends and
             # the midpoint: equal values (infinities included) agree, finite
             # ones within a relative 1e-12; a nan on either side disagrees.
-            # make_builtin's rhs carries its own linear form, which agrees
-            # with it by construction, so a problem with that pair skips it.
             with np.errstate(all="ignore"):
                 for x in (self.x0, 0.5 * (self.x0 + self.domain_end), self.domain_end):
                     p, q = linear_coeffs_eval(self, x)
@@ -93,6 +89,13 @@ class Problem:
     @property
     def problem_id(self) -> str:
         return f"{self.label}(eps={self.epsilon:.17g})"
+
+
+def _trusted_linear(problem: Problem) -> bool:
+    """Whether ``linear`` is rhs's own (make_builtin's): trusted to agree
+    with rhs and to give the same doubles on floats and on arrays."""
+    linear = problem.linear
+    return linear is not None and linear is getattr(problem.rhs, "_linear_form", None)
 
 
 def _check_epsilon(epsilon: float):
@@ -136,9 +139,11 @@ def make_builtin(name: str, epsilon: float) -> Problem:
     but cost less: ``rhs`` is one frame on ``math``; ``p``, ``q`` and
     ``exact`` take floats or arrays, use x / -eps, which is -x / eps for
     every float x but NaN, and run their later passes in place on the
-    fresh array they return.  ``rhs`` carries its linear form, which
-    agrees with it by construction, so ``Problem`` skips its spot check
-    for that pair (at eps near 2^-1074 both sides would read nan there).
+    fresh array they return.  ``rhs`` carries its linear form, the promise
+    that the pair agrees with it and gives the same doubles on floats and
+    on arrays (tests/test_problems.py), so ``Problem`` skips its spot check
+    for that pair (at eps near 2^-1074 both sides would read nan there) and
+    the scalar Gauss step calls p and q once per block.
     """
     if name not in BUILTIN_NAMES:
         raise ValueError(f"unknown builtin problem {name!r}; known: {BUILTIN_NAMES}")

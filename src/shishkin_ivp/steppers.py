@@ -35,6 +35,7 @@ from .problems import (
     EvaluationError,
     Problem,
     _check_domain,
+    _trusted_linear,
     array_eval,
     domain_bounds,
     domain_slack,
@@ -51,11 +52,9 @@ SINGULAR_DENOMINATOR_TOL = 1e-14
 KERNEL_BLOCK = 4096
 
 #: Meshes with fewer intervals skip the kernel and run the scalar driver,
-#: whose whole run there costs less than the kernel's ~60 fixed numpy calls.
-#: One value for all tableaux: the explicit schemes cross over at 64-128
-#: intervals or later, gauss2 (four float p and q calls, ~1.7 us a step on
-#: layer1) at 24-32, so it alone pays up to ~50 us a run from there to 64.
-KERNEL_MIN_INTERVALS = 64
+#: whose whole run there costs less than the kernel's ~60 fixed numpy calls
+#: (the crossover of all six tableaux on layer1, README).
+KERNEL_MIN_INTERVALS = 128
 
 #: The kernel requires max|y| * max|coefficient| + max|offset| over the
 #: whole run below this, far enough from overflow that the scalar driver's
@@ -368,11 +367,11 @@ def _affine_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
 
 # The straight-line steps: the step functions' arithmetic for checked steps,
 # the explicit sums from their first term, not from +0.0 (README).  Each runs
-# the rows (h, x_1, ..., x_s) of widths and stage abscissae, appends every
-# result to ``out`` and returns the last y.  It stops before a step whose
-# callback raises, whose result is not finite (an explicit one is whenever a
-# stage slope is), from y = -0.0 (explicit: the one y the +0.0 can change) or
-# with a singular stage system (Gauss); the step function then redoes it.
+# the rows of _rows, appends every result to ``out`` and returns the last y.
+# It stops before a step whose row or callback raises, whose result is not
+# finite (an explicit one is whenever a stage slope is), from y = -0.0
+# (explicit: the one y the +0.0 can change) or with a singular stage system
+# (Gauss); the step function then redoes it.
 
 
 def _two_stage_steps(f, a, b, y, rows, out):
@@ -417,14 +416,11 @@ def _three_stage_steps(f, a, b, y, rows, out):
     return y
 
 
-def _gauss2_steps(linear, a, b, y, rows, out):
+def _gauss2_steps(y, rows, out):
     g = GAUSS2_GAMMA
     isfinite = math.isfinite
     try:
-        p, q = linear  # None, a problem with no linear form: handed over
-        for h, x1, x2 in rows:
-            p1, q1 = float(p(x1)), float(q(x1))
-            p2, q2 = float(p(x2)), float(q(x2))
+        for h, p1, q1, p2, q2 in rows:
             denom = _gauss2_determinant(p1, p2, h)
             if abs(denom) <= SINGULAR_DENOMINATOR_TOL:
                 break
@@ -437,6 +433,29 @@ def _gauss2_steps(linear, a, b, y, rows, out):
     except Exception:  # re-raised by gauss2_linear_step on hand-off
         pass
     return y
+
+
+def _rows(tableau: ButcherTableau, problem: Problem, widths, stage_x):
+    """Rows of the straight-line steps over checked intervals: (h, x_1, ...,
+    x_s), or (h, p1, q1, p2, q2) for gauss2, from one p and one q array call
+    for a _trusted_linear pair, else (or if either raises or yields no
+    array) from float calls as the rows are read, in gauss2_linear_step's order."""
+    if tableau.explicit:
+        return zip(widths.tolist(), *stage_x.tolist())
+    p, q = problem.linear or (None, None)  # None: handed over at step 0
+    if _trusted_linear(problem):
+        try:
+            ps = _on_stages(p, stage_x)
+            qs = None if ps is None else _on_stages(q, stage_x)
+        except Exception:  # met again by the float calls, as by the oracle
+            qs = None
+        if qs is not None:
+            (p1, p2), (q1, q2) = ps.tolist(), qs.tolist()
+            return zip(widths.tolist(), p1, q1, p2, q2)
+    return (
+        (h, float(p(x1)), float(q(x1)), float(p(x2)), float(q(x2)))
+        for h, x1, x2 in zip(widths.tolist(), *stage_x.tolist())
+    )
 
 
 def _scalar_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
@@ -453,9 +472,9 @@ def _scalar_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
     a, b, c = tableau.a.tolist(), tableau.b.tolist(), tableau.c.tolist()
     if tableau.explicit:
         steps = _two_stage_steps if tableau.stages == 2 else _three_stage_steps
-        f, step = problem.rhs, partial(explicit_rk_step, tableau)
+        steps, step = partial(steps, problem.rhs, a, b), partial(explicit_rk_step, tableau)
     else:
-        steps, f, step = _gauss2_steps, problem.linear, gauss2_linear_step
+        steps, step = _gauss2_steps, gauss2_linear_step
     nodes, widths = mesh.nodes, mesh.widths
     n = len(widths)
     values = np.empty(n + 1)
@@ -465,16 +484,16 @@ def _scalar_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
             hi = min(lo + KERNEL_BLOCK, n)
             stage_x, failed = _step_checks(problem, c, nodes[lo:hi], widths[lo:hi])
             stop = hi if failed is None else lo + failed
-            rows = zip(widths[lo:stop].tolist(), *stage_x[:, : stop - lo].tolist())
+            rows = _rows(tableau, problem, widths[lo:stop], stage_x[:, : stop - lo])
             block = []
-            y = steps(f, a, b, y, rows, block)
+            y = steps(y, rows, block)
             while (i := lo + len(block)) < hi:
                 try:
                     y = step(problem, float(nodes[i]), y, float(widths[i]))
                 except (StageEvaluationError, SingularStepError) as exc:
                     raise type(exc)(f"step {i} failed: {exc}") from exc
                 block.append(y)
-                y = steps(f, a, b, y, rows, block)
+                y = steps(y, rows, block)
             values[lo + 1 : hi + 1] = block
     return values
 
@@ -496,11 +515,12 @@ def integrate(scheme: str, problem: Problem, mesh: Mesh) -> Trajectory:
     few ulps per step, the same from run to run.  Otherwise the scalar
     driver runs, with values and errors exactly those of one step function
     call per interval: ``explicit_rk_step`` for explicit schemes,
-    ``gauss2_linear_step`` for ``gauss2`` (so it requires a linear problem);
-    a step it hands over is redone by that function, which calls ``rhs``,
-    or ``p`` and ``q``, again.  Blow-ups raise with the failing
-    ``step N``.  A mesh not made by the mesh builders whose widths
-    disagree with its node differences (``mesh.inconsistent_widths``)
+    ``gauss2_linear_step`` for ``gauss2`` (so it requires a linear problem;
+    make_builtin's p and q are called once per block, on arrays, any other
+    pair's on floats); a step it hands over is redone by that function,
+    which calls ``rhs``, or ``p`` and ``q``, again.  Blow-ups raise with
+    the failing ``step N``.  A mesh not made by the mesh builders whose
+    widths disagree with its node differences (``inconsistent_widths``)
     raises ValueError, after the scalar driver's own error if any step
     fails the step rule.
     """
@@ -528,9 +548,4 @@ def integrate(scheme: str, problem: Problem, mesh: Mesh) -> Trajectory:
         values = _affine_integrate(tableau, problem, mesh)
     if values is None:
         values = _scalar_integrate(tableau, problem, mesh)
-    return Trajectory(
-        mesh=mesh,
-        values=values,
-        scheme_id=scheme,
-        problem_id=problem.problem_id,
-    )
+    return Trajectory(mesh=mesh, values=values, scheme_id=scheme, problem_id=problem.problem_id)

@@ -54,18 +54,12 @@ class ButcherTableau:
         s = self.stages
         if s < 1 or a.shape != (s, s) or b.shape != (s,) or c.shape != (s,):
             raise ValueError(f"inconsistent tableau shapes for {s} stages")
-        strictly_lower = all(
-            a[j, q] == 0.0 for j in range(s) for q in range(j, s)
-        )
+        strictly_lower = all(a[j, q] == 0.0 for j in range(s) for q in range(j, s))
         if self.explicit != strictly_lower:
-            raise ValueError(
-                "explicit flag does not match the coefficient structure"
-            )
-        for arr in (a, b, c):
+            raise ValueError("explicit flag does not match the coefficient structure")
+        for name, arr in (("a", a), ("b", b), ("c", c)):
             arr.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+            object.__setattr__(self, name, arr)
         if check:
             if abs(float(np.sum(b)) - 1.0) > TABLEAU_TOL:
                 raise ValueError(f"weights must sum to 1, got {np.sum(b)!r}")

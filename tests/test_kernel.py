@@ -14,9 +14,11 @@ ends with finite values must also pass ``rhs`` the same arguments, in the
 same order.
 """
 
+import copy
 import dataclasses
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -45,6 +47,7 @@ from shishkin_ivp import (
     run_sweep,
 )
 from shishkin_ivp import steppers
+from shishkin_ivp.problems import array_eval, domain_bounds
 from shishkin_ivp.steppers import (
     KERNEL_BLOCK,
     KERNEL_MIN_INTERVALS,
@@ -209,18 +212,21 @@ def array_calls_counted(problem, counts):
 )
 def test_property_small_meshes_are_the_oracle(scheme, name, kind, log2_eps, n):
     """Below KERNEL_MIN_INTERVALS integrate is the per-step oracle bit for
-    bit, or raises its exact error, and never calls p or q on an array."""
+    bit, or raises its exact error.  The explicit schemes never call p or
+    q on an array; gauss2 does so once each, with the pair trusted, and
+    not at all with an untrusted copy (check_bit_identical runs both)."""
     assume(kind == "uniform" or (n >= 4 and n % 2 == 0))
     eps = 2.0**log2_eps
     counts = []
     problem = array_calls_counted(make_builtin(name, eps), counts)
     check_bit_identical(scheme, problem, mesh_for(kind, n, eps))
-    assert counts == []
+    assert counts == (["p", "q"] if scheme == "gauss2" else [])
 
 
 @pytest.mark.parametrize("scheme", SCHEME_NAMES)
 def test_kernel_runs_from_the_minimum_mesh_size(scheme, monkeypatch):
-    """integrate tries the kernel on 64 intervals, and not on 63."""
+    """integrate tries the kernel on KERNEL_MIN_INTERVALS intervals, and
+    not on one fewer."""
     tried = []
     kernel = steppers._affine_integrate
 
@@ -230,9 +236,9 @@ def test_kernel_runs_from_the_minimum_mesh_size(scheme, monkeypatch):
 
     monkeypatch.setattr(steppers, "_affine_integrate", spy)
     problem = make_builtin("layer1", 2.0**-4)
-    for n in 63, 64:
+    for n in KERNEL_MIN_INTERVALS - 1, KERNEL_MIN_INTERVALS:
         integrate(scheme, problem, build_uniform_mesh(n))
-    assert tried == [64]
+    assert tried == [KERNEL_MIN_INTERVALS]
 
 
 class TestGate:
@@ -671,7 +677,8 @@ class TestOneCallPerBlock:
     """The coefficient layer calls p once and q once per block, on a 1-d
     array of the block's s*n stage abscissae.  Below KERNEL_MIN_INTERVALS
     the kernel does not run: no array call, and the oracle's bytes (the
-    scalar gauss2 step calls p and q on floats, twice each per step)."""
+    scalar gauss2 step calls this untrusted p and q on floats, twice each
+    per step)."""
 
     @pytest.mark.parametrize("scheme", SCHEME_NAMES)
     @pytest.mark.parametrize("n", [16, 64, 2**13])
@@ -974,11 +981,18 @@ def check_bit_identical(scheme, problem, mesh):
     """Assert that integrate is the oracle bit for bit: the same values,
     from the same callback arguments, in the same order, when every value
     is finite (a step with a non-finite result is redone by the oracle),
-    or the same exception class and message.  The callbacks logged are
-    rhs for an explicit scheme, p and q for gauss2 (their float calls: the
-    kernel's array calls, made before its gate rejects a run, are not the
-    oracle's).  Return how the run ended."""
-    calls = []
+    or the same exception class and message.  Return how the run ended.
+
+    The callbacks logged are rhs for an explicit scheme, p and q for
+    gauss2, whose pair is run twice.  Untrusted (rhs does not carry it as
+    its linear form) it makes only the oracle's float calls.  Trusted (rhs
+    carries it, as make_builtin's does) it makes one p and one q array
+    call per block over the stage abscissae up to the block's first
+    failing interval, q only if p's gives an array, and float calls only
+    where the oracle's come from a hand-off: from that interval on, or in
+    the whole block if either array call gives no array.  The kernel's
+    array calls, made before its gate rejects a run, are not logged."""
+    calls, arrays, in_kernel = [], [], []
 
     def rhs(x, y):
         calls.append((x, y))
@@ -988,33 +1002,81 @@ def check_bit_identical(scheme, problem, mesh):
         def coefficient(x):
             if not isinstance(x, np.ndarray):
                 calls.append((tag, x))
-            return fn(x)
+                return fn(x)
+            entry = [tag, x.copy(), False]
+            if not in_kernel:
+                arrays.append(entry)
+            value = fn(x)
+            entry[2] = array_eval(lambda _: value, x) is not None
+            return value
 
         return coefficient
 
+    def kernel(*args):
+        in_kernel.append(True)
+        try:
+            return affine_integrate(*args)
+        finally:
+            in_kernel.pop()
+
+    affine_integrate = steppers._affine_integrate
+    trusted = None
     if scheme == "gauss2" and problem.linear is not None:
-        # rhs carries the logged pair as its linear form, as make_builtin's
-        # does, so Problem makes no spot-check calls.
+        # rhs carries the logged pair as its linear form, so Problem makes
+        # no spot-check calls; the untrusted copy skips them too.
         rhs._linear_form = linear = (logged(0.0, problem.linear[0]), logged(1.0, problem.linear[1]))
-        counted = dataclasses.replace(problem, rhs=rhs, linear=linear)
+        trusted = dataclasses.replace(problem, rhs=rhs, linear=linear)
+        untrusted = copy.copy(trusted)
+        object.__setattr__(untrusted, "rhs", lambda x, y: rhs(x, y))
+        runs = [untrusted, trusted]
     else:
-        counted = dataclasses.replace(problem, rhs=rhs)
-    calls.clear()
-    try:
-        expected = oracle(scheme, counted, mesh)
-    except Exception as exc:
-        with pytest.raises(Exception) as raised:
-            integrate(scheme, counted, mesh)
-        assert type(raised.value) is type(exc)
-        assert str(raised.value) == str(exc)
-        return "raised"
-    expected_calls = np.array(calls)
-    calls.clear()
-    got = integrate(scheme, counted, mesh).values
-    assert got.tobytes() == expected.tobytes()
-    if np.isfinite(expected).all():
-        assert np.array(calls).tobytes() == expected_calls.tobytes()
-    return "identical"
+        runs = [dataclasses.replace(problem, rhs=rhs)]
+    for run in runs:
+        calls.clear()
+        try:
+            expected = oracle(scheme, run, mesh)
+        except Exception as exc:
+            with pytest.raises(Exception) as raised:
+                integrate(scheme, run, mesh)
+            assert type(raised.value) is type(exc)
+            assert str(raised.value) == str(exc)
+            outcome = "raised"
+            continue
+        expected_calls = calls.copy()
+        calls.clear()
+        arrays.clear()
+        with mock.patch.object(steppers, "_affine_integrate", kernel):
+            got = integrate(scheme, run, mesh).values
+        assert got.tobytes() == expected.tobytes()
+        if np.isfinite(expected).all():
+            if run is trusted:
+                expected_calls = trusted_calls(run, mesh, expected_calls, arrays)
+            assert arrays == []
+            assert np.array(calls).tobytes() == np.array(expected_calls).tobytes()
+        outcome = "identical"
+    return outcome
+
+
+def trusted_calls(problem, mesh, oracle_calls, arrays):
+    """Check and consume from ``arrays`` the array calls of a trusted
+    gauss2 pair (see check_bit_identical); return the float calls the run
+    may make, the oracle's four per hand-off interval."""
+    nodes, widths = mesh.nodes[:-1], mesh.widths
+    stage_x = nodes + np.outer(named_tableau("gauss2").c, widths)
+    lo_x, hi_x = domain_bounds(problem)
+    checked = (widths > 0.0) & (lo_x <= nodes) & (nodes + widths <= hi_x)
+    handed = []
+    for lo in range(0, len(widths), KERNEL_BLOCK):
+        hi = min(lo + KERNEL_BLOCK, len(widths))
+        stop = lo + int(np.argmin(checked[lo:hi])) if not checked[lo:hi].all() else hi
+        points = stage_x[:, lo:stop].reshape(-1).tobytes()
+        tag, x, gives_array = arrays.pop(0)
+        assert (tag, x.tobytes()) == (0.0, points)
+        if gives_array:
+            tag, x, gives_array = arrays.pop(0)
+            assert (tag, x.tobytes()) == (1.0, points)
+        handed += range(stop if gives_array else lo, hi)
+    return [call for i in handed for call in oracle_calls[4 * i : 4 * i + 4]]
 
 
 def logistic(eps, y0=0.5):
@@ -1338,6 +1400,54 @@ class TestScalarDriver:
             integrate("gauss2", problem, build_uniform_mesh(n))
         assert str(raised.value) == message
 
+    @pytest.mark.parametrize("zero_at", [20, KERNEL_BLOCK + 3])
+    def test_gauss2_trusted_builtin_with_a_zero_width_interval(self, zero_at):
+        """make_builtin's trusted pair on a mesh with h = 0 at one interval:
+        p and q are called on arrays up to that interval, the step function
+        takes it and the rest of its block on floats, and the other block
+        runs from arrays again."""
+        base = build_uniform_mesh(KERNEL_BLOCK + 8)
+        nodes = np.insert(base.nodes, zero_at, base.nodes[zero_at])
+        widths = np.insert(base.widths, zero_at, 0.0)
+        mesh = Mesh(nodes=nodes, widths=widths, kind="hand-built")
+        assert check_bit_identical("gauss2", make_builtin("layer1", 2.0**-4), mesh) == "identical"
+
+    @pytest.mark.parametrize("failure", [None, "nan q", "raising p"])
+    @pytest.mark.parametrize(
+        "n, array_call", [(40, "raises"), (40, "wrong shape"), (KERNEL_BLOCK + 16, "wrong shape")]
+    )
+    def test_gauss2_trusted_pair_whose_array_call_fails(self, n, array_call, failure):
+        """A trusted pair whose p raises ZeroDivisionError on an array, or
+        returns an array of the wrong shape, runs on float calls: the
+        values, or the class, message and step of the failure from step
+        n - 11 on, are the oracle's.  (From KERNEL_MIN_INTERVALS on, the
+        kernel's own array call lets the ZeroDivisionError out.)"""
+        mesh = build_uniform_mesh(n)
+        i = n - 11
+        x_bad = float(mesh.nodes[i])
+
+        def p(x):
+            if isinstance(x, np.ndarray):
+                if array_call == "raises":
+                    raise ZeroDivisionError("array division")
+                return np.zeros(3)
+            if failure == "raising p" and x > x_bad:
+                raise ZeroDivisionError(f"custom division at {x!r}")
+            return -1.0
+
+        def q(x):
+            return math.nan if failure == "nan q" and x > x_bad else x
+
+        problem = linear(p, q)
+        outcome = check_bit_identical("gauss2", problem, mesh)
+        assert outcome == ("identical" if failure is None else "raised")
+        if failure == "nan q":
+            with pytest.raises(StageEvaluationError, match=f"^step {i} failed: non-finite Gauss"):
+                integrate("gauss2", problem, mesh)
+        elif failure == "raising p":
+            with pytest.raises(ZeroDivisionError, match="^custom division at "):
+                integrate("gauss2", problem, mesh)
+
 
 #: |R(z)| <= 1 on [-bound, 0] of the real axis: 2 for the two-stage
 #: schemes, the real root of 1 + z + z^2/2 + z^3/6 = -1 for the
@@ -1352,10 +1462,10 @@ REAL_AXIS_BOUND = {2: 2.0, 3: 2.5127453266183286}
 @example(fraction=1.1)
 def test_first_step_is_the_stability_function(scheme, fraction):
     """On eps*y' = -y from y = 1, one step is R(z) = 1 + z b^T (I - zA)^-1 1
-    with z = -h/eps, within 4 ulps of max(1, |z|)^s.  On 64 intervals,
-    below the real-axis bound (fraction < 1), the kernel runs; above it
-    the explicit schemes are expansive and the scalar driver runs, as it
-    does at every fraction on 16 intervals."""
+    with z = -h/eps, within 4 ulps of max(1, |z|)^s.  On
+    KERNEL_MIN_INTERVALS intervals, below the real-axis bound (fraction
+    < 1), the kernel runs; above it the explicit schemes are expansive and
+    the scalar driver runs, as it does at every fraction on 16 intervals."""
     tableau = named_tableau(scheme)
     for n in 16, KERNEL_MIN_INTERVALS:
         mesh = build_uniform_mesh(n)

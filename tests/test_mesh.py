@@ -30,6 +30,51 @@ def params(n=2**10, eps=2.0**-10, order=2, b=1.0, alpha=0.5):
     )
 
 
+class TestIntervalCount:
+    """One interval-count rule for ShishkinParams, build_from_sigma and
+    build_uniform_mesh: an integer, numpy's included, rejected at
+    construction with a ValueError naming n_intervals otherwise."""
+
+    BUILDERS = {
+        "ShishkinParams": lambda n: ShishkinParams(n_intervals=n, epsilon=0.5),
+        "build_from_sigma": lambda n: build_from_sigma(n, 0.5, 0.25),
+        "build_uniform_mesh": build_uniform_mesh,
+    }
+
+    @pytest.mark.parametrize(
+        "n, text",
+        [(8.0, "8.0"), (True, "True"), (False, "False"), ("8", "'8'"), (None, "None"),
+         (np.float64(8.0), "np.float64(8.0)"), (np.bool_(True), "np.True_")],
+    )
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    def test_non_integers_rejected_by_name(self, builder, n, text):
+        with pytest.raises(ValueError) as raised:
+            self.BUILDERS[builder](n)
+        assert str(raised.value) == f"n_intervals must be an integer, got {text}"
+
+    @pytest.mark.parametrize(
+        "builder, n, message",
+        [("ShishkinParams", 2, "n_intervals must be even and >= 4, got 2"),
+         ("ShishkinParams", 9, "n_intervals must be even and >= 4, got 9"),
+         ("build_from_sigma", 1, "n_intervals must be >= 2, got 1"),
+         ("build_uniform_mesh", 0, "n_intervals must be >= 1, got 0"),
+         ("build_uniform_mesh", np.int64(-3), "n_intervals must be >= 1, got -3")],
+    )
+    def test_range_messages(self, builder, n, message):
+        with pytest.raises(ValueError) as raised:
+            self.BUILDERS[builder](n)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint16])
+    def test_numpy_integers_build_the_int_mesh(self, kind):
+        for builder, n in (("ShishkinParams", 8), ("build_from_sigma", 8), ("build_uniform_mesh", 7)):
+            found, want = self.BUILDERS[builder](kind(n)), self.BUILDERS[builder](n)
+            if builder == "ShishkinParams":
+                found, want = build_shishkin_mesh(found), build_shishkin_mesh(want)
+            assert found.nodes.tobytes() == want.nodes.tobytes()
+            assert found.widths.tobytes() == want.widths.tobytes()
+
+
 class TestTransitionPoint:
     def test_layer_regime(self):
         """sigma = (n/b) * eps * ln N = 2 * 2^-10 * ln 1024."""

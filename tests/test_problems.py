@@ -30,6 +30,7 @@ from shishkin_ivp.problems import (
     domain_bounds,
     domain_slack,
 )
+from shishkin_ivp.steppers import KERNEL_MIN_INTERVALS
 
 
 class TestMakeBuiltin:
@@ -278,15 +279,23 @@ def load_perfbench_spans():
 
 @pytest.mark.parametrize(
     "scheme, n, calls",
-    [("gauss2", 16, 4 * 16), ("gauss2", 64, 2), ("heun", 16, 2 * 16), ("heun", 64, 1 + 2 * 64)],
+    [
+        ("gauss2", 16, 4 * 16),
+        ("gauss2", 64, 4 * 64),
+        ("gauss2", KERNEL_MIN_INTERVALS, 2),
+        ("heun", 16, 2 * 16),
+        ("heun", 64, 2 * 64),
+        ("heun", KERNEL_MIN_INTERVALS, 1 + 2 * KERNEL_MIN_INTERVALS),
+    ],
 )
 def test_instrumented_builtin_counts_and_keeps_values(scheme, n, calls):
     """perfbench's instrument_problem swaps a builtin's callbacks after
-    construction: the run counts its callback calls and returns the same
-    values.  At h/eps = 4 on 64 intervals the kernel runs: gauss2 calls p
-    and q once over 2*64 points; heun calls p, which the gate rejects,
-    then rhs twice per step.  On 16 intervals the scalar driver runs from
-    the start: gauss2 calls p and q twice per step, heun rhs twice."""
+    construction, which drops the pair's trust: the run counts its
+    callback calls and returns the same values.  At h/eps = 4 on
+    KERNEL_MIN_INTERVALS intervals the kernel runs: gauss2 calls p and q
+    once over 2*N points; heun calls p, which the gate rejects, then rhs
+    twice per step.  Below it the scalar driver runs from the start: gauss2
+    calls the untrusted p and q twice per step, heun rhs twice."""
     spans = load_perfbench_spans()
     tracer = spans.Tracer()
     mesh = build_uniform_mesh(n)
