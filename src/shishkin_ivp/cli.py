@@ -21,7 +21,7 @@ import numpy as np
 
 from . import convergence
 from .mesh import MESH_SHISHKIN, MESH_UNIFORM, Mesh
-from .problems import BUILTIN_NAMES, Problem, exact_eval, make_builtin
+from .problems import BUILTIN_NAMES, Problem, _check_epsilon, exact_eval, make_builtin
 from .steppers import Trajectory, integrate
 from .tableaux import SCHEME_NAMES
 
@@ -44,7 +44,7 @@ class UsageError(ValueError):
 
 def parse_epsilon(text: str) -> float:
     """Parse a perturbation parameter: decimal (``0.25``) or power form
-    (``2^-7.225``).  The value must land in (0, 1]."""
+    (``2^-7.225``).  The value must land in (0, 1]: Problem's epsilon rule."""
     text = text.strip()
     m = _POWER_FORM.match(text)
     if m:
@@ -56,8 +56,7 @@ def parse_epsilon(text: str) -> float:
             raise UsageError(
                 f"cannot parse epsilon {text!r}; use e.g. 0.25 or 2^-7.225"
             ) from None
-    if not 0.0 < value <= 1.0:
-        raise UsageError(f"epsilon must be in (0, 1], got {text!r} = {value!r}")
+    _check_epsilon(value)
     return value
 
 
@@ -338,6 +337,7 @@ def run(args: argparse.Namespace) -> Iterable[bytes]:
     computed."""
     labels = tuple(part.strip() for part in args.eps.split(",")) if args.eps else ()
     epsilons = tuple(parse_epsilon(part) for part in labels)
+    grading = (args.mesh_order, args.mesh_b, args.alpha)  # Shishkin meshes only
 
     if args.command == "sweep":
         if not epsilons:
@@ -347,15 +347,7 @@ def run(args: argparse.Namespace) -> Iterable[bytes]:
                 f"--kmax must be at most {MAX_LOG2_INTERVALS}, got {args.kmax}"
             )
         table = convergence.run_sweep(
-            args.scheme,
-            args.problem,
-            epsilons,
-            args.kmin,
-            args.kmax,
-            mesh_kind=args.mesh,
-            method_order=args.mesh_order,
-            layer_constant=args.mesh_b,
-            split=args.alpha,
+            args.scheme, args.problem, epsilons, args.kmin, args.kmax, args.mesh, *grading
         )
         if args.format == "md":
             return [format_sweep_markdown(table, labels).encode()]
@@ -372,9 +364,7 @@ def run(args: argparse.Namespace) -> Iterable[bytes]:
         raise UsageError(
             f"--n-intervals must be at most {MAX_INTERVALS}, got {args.n_intervals}"
         )
-    mesh = convergence.build_mesh(
-        args.mesh, args.n_intervals, eps, args.mesh_order, args.mesh_b, args.alpha
-    )
+    mesh = convergence.build_mesh(args.mesh, args.n_intervals, eps, *grading)
     if args.command == "mesh":
         return _csv_blocks(*_mesh_table(mesh))
     problem = make_builtin(args.problem, eps)

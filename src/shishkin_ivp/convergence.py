@@ -9,6 +9,7 @@ ln(E_N / E_2N) / ln(2k / (k+1)).
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,7 @@ import numpy as np
 from .mesh import (
     MESH_SHISHKIN,
     MESH_UNIFORM,
+    _SWEEP_ARRAYS,
     Mesh,
     ShishkinParams,
     build_shishkin_mesh,
@@ -94,15 +96,6 @@ def build_mesh(
     )
 
 
-def _cell_error(scheme, problem, mesh_kind, eps, k, *grading) -> float:
-    """Max-norm error of sweep cell (eps, k); its mesh and trajectory die here."""
-    try:
-        trajectory = integrate(scheme, problem, build_mesh(mesh_kind, 2**k, eps, *grading))
-        return max_error(trajectory, problem)
-    except (ValueError, ArithmeticError) as exc:
-        raise type(exc)(f"sweep cell (eps={eps:.17g}, k={k}) failed: {exc}") from exc
-
-
 def run_sweep(
     scheme: str,
     problem_name: str,
@@ -115,7 +108,9 @@ def run_sweep(
     split: float = 0.5,
 ) -> ConvergenceTable:
     """Integrate over meshes N = 2^k for every (epsilon, k), one cell at a
-    time, and tabulate errors with orders from consecutive refinements."""
+    time, and tabulate errors with orders from consecutive refinements.
+    Every cell's mesh and values are views of one set of arrays of 2^k_max
+    + 1 doubles (mesh._array), valid until the next cell is built."""
     if not epsilons:
         raise ValueError("epsilons must be nonempty")
     if not 2 <= k_min < k_max:
@@ -123,12 +118,18 @@ def run_sweep(
     epsilons = tuple(epsilons)
     k_range = tuple(range(k_min, k_max + 1))
     errors: dict[tuple[float, int], float] = {}
-    for eps in epsilons:
-        problem = make_builtin(problem_name, eps)
-        for k in k_range:
-            errors[(eps, k)] = _cell_error(
-                scheme, problem, mesh_kind, eps, k, method_order, layer_constant, split
-            )
+    token = _SWEEP_ARRAYS.set(defaultdict(lambda: np.empty(2**k_max + 1)))
+    try:
+        for eps in epsilons:
+            problem = make_builtin(problem_name, eps)
+            for k in k_range:
+                try:
+                    mesh = build_mesh(mesh_kind, 2**k, eps, method_order, layer_constant, split)
+                    errors[(eps, k)] = max_error(integrate(scheme, problem, mesh), problem)
+                except (ValueError, ArithmeticError) as exc:
+                    raise type(exc)(f"sweep cell (eps={eps:.17g}, k={k}) failed: {exc}") from exc
+    finally:
+        _SWEEP_ARRAYS.reset(token)
 
     entries = {}
     for (eps, k), error in errors.items():

@@ -10,6 +10,7 @@ is fully described by the transition point ``sigma`` and the node split
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,10 @@ MESH_SHISHKIN = "shishkin"
 #: Tolerance of the width / node-difference and sum-of-widths / node-span
 #: consistency checks on the unit interval; see width_tolerance.
 WIDTH_CONSISTENCY_ATOL = 1e-12
+
+#: While run_sweep runs: its cells' large arrays (``_array``), by slot, each
+#: made when first asked for, at the size of the sweep's largest cell.
+_SWEEP_ARRAYS: ContextVar[dict | None] = ContextVar("sweep_arrays", default=None)
 
 
 @dataclass(frozen=True)
@@ -108,6 +113,20 @@ def _built(nodes, widths, kind: str, sigma: float | None) -> Mesh:
     return mesh
 
 
+def _array(slot: str, size: int, index: bool = False) -> np.ndarray:
+    """``size`` doubles, holding the float index 0..size-1 if ``index``:
+    inside a sweep the start of its ``slot`` array, else a new array."""
+    arrays = _SWEEP_ARRAYS.get()
+    if arrays is None or size > len(arrays[slot]):
+        return np.arange(size, dtype=float) if index else np.empty(size)
+    out = arrays[slot][:size]
+    if index:  # exact, and in place, where np.arange makes a new array
+        out.fill(1.0)
+        out[0] = 0.0
+        np.cumsum(out, out=out)
+    return out
+
+
 def _check_count(n_intervals: int, least: int, even: bool = False):
     """The interval-count rule: an int or numpy integer, >= least, even if asked."""
     if isinstance(n_intervals, bool) or not isinstance(n_intervals, (int, np.integer)):
@@ -174,7 +193,7 @@ def build_from_sigma(n_intervals: int, alpha: float, sigma: float) -> Mesh:
     h_coarse = (1.0 - sigma) / (n_intervals - m)
     # Node i is i*h_fine on the fine piece and sigma + (i - m)*h_coarse on
     # the coarse one, written in place from the float indices.
-    nodes = np.arange(n_intervals + 1, dtype=float)
+    nodes = _array("nodes", n_intervals + 1, index=True)
     nodes[: m + 1] *= h_fine
     coarse = nodes[m + 1 :]
     coarse -= m
@@ -190,7 +209,7 @@ def build_from_sigma(n_intervals: int, alpha: float, sigma: float) -> Mesh:
             f"sigma = {sigma!r} is too small for {m} fine intervals: "
             "the mesh nodes would repeat"
         )
-    widths = np.empty(n_intervals)
+    widths = _array("widths", n_intervals)
     widths[:m] = h_fine
     widths[m:] = h_coarse
     return _built(nodes, widths, MESH_SHISHKIN, sigma)
@@ -219,7 +238,7 @@ def build_uniform_mesh(
         raise ValueError(
             f"interval [{x_lo}, {x_hi}] gives width {h} for {n_intervals} intervals"
         )
-    nodes = np.arange(n_intervals + 1, dtype=float)
+    nodes = _array("nodes", n_intervals + 1, index=True)
     nodes *= h
     nodes += x_lo
     nodes[-1] = x_hi
@@ -228,7 +247,9 @@ def build_uniform_mesh(
             f"interval [{x_lo}, {x_hi}] is too short for {n_intervals} "
             "intervals: the mesh nodes would repeat"
         )
-    return _built(nodes, np.full(n_intervals, h), MESH_UNIFORM, None)
+    widths = _array("widths", n_intervals)
+    widths.fill(h)
+    return _built(nodes, widths, MESH_UNIFORM, None)
 
 
 def width_tolerance(nodes: np.ndarray) -> float:

@@ -225,7 +225,8 @@ def array_eval(fn: Callable, x: np.ndarray) -> np.ndarray | None:
     """``fn`` on the whole array ``x``, as float64 of its shape (a float64
     result of that shape as it is: maybe ``x``, never to be written; a
     scalar or other broadcastable result filled into a new array); None if
-    ``fn`` rejects arrays (TypeError, ValueError, unbroadcastable shape).
+    ``fn`` raises on the array (any Exception) or gives an unbroadcastable
+    shape, so that float calls, as in the step functions, decide the result.
 
     The kernel passes one 1-d array of all stage abscissae of a block, so
     ``fn`` must work elementwise.  The result is not copied, so ``fn``
@@ -240,7 +241,7 @@ def array_eval(fn: Callable, x: np.ndarray) -> np.ndarray | None:
         filled = np.empty(x.shape)
         filled[...] = value
         return filled
-    except (TypeError, ValueError):
+    except Exception:
         return None
 
 

@@ -30,7 +30,7 @@ from functools import partial
 
 import numpy as np
 
-from .mesh import Mesh, inconsistent_widths
+from .mesh import Mesh, _array, inconsistent_widths
 from .problems import (
     EvaluationError,
     Problem,
@@ -331,15 +331,17 @@ def _affine_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
     affine forms alpha*y + beta of the intermediates the scalar step
     computes from y (p and q come from one call per block each).  D goes
     into the scan's rows, S into its interval's result slot (see _scan;
-    padding steps are identities), so the call holds its output, one
-    8N-byte D grid and KERNEL_BLOCK-sized temporaries; one headroom test
-    follows the scan.
+    zeroed padding steps are identities), so the call holds its output and
+    one 8N-byte D grid (a sweep's own: mesh._array) and KERNEL_BLOCK-sized
+    temporaries; one headroom test follows the scan.
     """
     nodes, widths = mesh.nodes, mesh.widths
     n = len(widths)
     width = scan_width(n)
     rows = -(-n // width)
-    d_rows, values = np.zeros((width, rows)), np.zeros(1 + width * rows)
+    d_rows = _array("d", width * rows).reshape(width, rows)
+    values = _array("values", 1 + width * rows)
+    d_rows[:, -1] = values[n + 1 :] = 0.0  # padding steps: the headroom test reads them
     values[0] = float(problem.y0)
     explicit = partial(_explicit_coefficients, tableau.a.tolist(), tableau.b.tolist())
     coefficients = explicit if tableau.explicit else _gauss2_coefficients
@@ -444,11 +446,8 @@ def _rows(tableau: ButcherTableau, problem: Problem, widths, stage_x):
         return zip(widths.tolist(), *stage_x.tolist())
     p, q = problem.linear or (None, None)  # None: handed over at step 0
     if _trusted_linear(problem):
-        try:
-            ps = _on_stages(p, stage_x)
-            qs = None if ps is None else _on_stages(q, stage_x)
-        except Exception:  # met again by the float calls, as by the oracle
-            qs = None
+        ps = _on_stages(p, stage_x)
+        qs = None if ps is None else _on_stages(q, stage_x)
         if qs is not None:
             (p1, p2), (q1, q2) = ps.tolist(), qs.tolist()
             return zip(widths.tolist(), p1, q1, p2, q2)
@@ -477,7 +476,7 @@ def _scalar_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
         steps, step = _gauss2_steps, gauss2_linear_step
     nodes, widths = mesh.nodes, mesh.widths
     n = len(widths)
-    values = np.empty(n + 1)
+    values = _array("values", n + 1)
     y = values[0] = float(problem.y0)
     with np.errstate(all="ignore"):
         for lo in range(0, n, KERNEL_BLOCK):

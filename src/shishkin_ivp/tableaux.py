@@ -71,48 +71,34 @@ class ButcherTableau:
                 )
 
 
-def _explicit(name: str, a_rows: list[list[float]], b: list[float], c: list[float]):
+def _explicit(name: str, a_rows: list[list[float]], b: list[float]) -> ButcherTableau:
+    """An explicit tableau from the rows of A below the diagonal; its nodes
+    are A's row sums, c_j = sum_q a_jq, the rule construction checks."""
     s = len(b)
     a = np.zeros((s, s))
     for j, row in enumerate(a_rows):
         a[j, : len(row)] = row
-    return ButcherTableau(
-        stages=s, a=a, b=np.array(b), c=np.array(c), explicit=True, name=name
-    )
+    return ButcherTableau(stages=s, a=a, b=np.array(b), c=a.sum(axis=1), explicit=True, name=name)
 
 
 def _make_named() -> dict[str, ButcherTableau]:
     g = GAUSS2_GAMMA
-    gauss_a = np.array([[0.25, 0.25 - g], [0.25 + g, 0.25]])
-    return {
-        "heun": _explicit("heun", [[], [1.0]], [0.5, 0.5], [0.0, 1.0]),
-        "rk2_ralston": _explicit(
-            "rk2_ralston", [[], [2.0 / 3.0]], [0.25, 0.75], [0.0, 2.0 / 3.0]
-        ),
-        "rk2_midpoint": _explicit(
-            "rk2_midpoint", [[], [0.5]], [0.0, 1.0], [0.0, 0.5]
-        ),
-        "rk3_a": _explicit(
-            "rk3_a",
-            [[], [0.5], [0.0, 0.75]],
-            [2.0 / 9.0, 3.0 / 9.0, 4.0 / 9.0],
-            [0.0, 0.5, 0.75],
-        ),
-        "rk3_kutta": _explicit(
-            "rk3_kutta",
-            [[], [0.5], [-1.0, 2.0]],
-            [1.0 / 6.0, 4.0 / 6.0, 1.0 / 6.0],
-            [0.0, 0.5, 1.0],
-        ),
-        "gauss2": ButcherTableau(
+    tableaux = [
+        _explicit("heun", [[], [1.0]], [0.5, 0.5]),
+        _explicit("rk2_ralston", [[], [2.0 / 3.0]], [0.25, 0.75]),
+        _explicit("rk2_midpoint", [[], [0.5]], [0.0, 1.0]),
+        _explicit("rk3_a", [[], [0.5], [0.0, 0.75]], [2.0 / 9.0, 3.0 / 9.0, 4.0 / 9.0]),
+        _explicit("rk3_kutta", [[], [0.5], [-1.0, 2.0]], [1.0 / 6.0, 4.0 / 6.0, 1.0 / 6.0]),
+        ButcherTableau(
             stages=2,
-            a=gauss_a,
+            a=np.array([[0.25, 0.25 - g], [0.25 + g, 0.25]]),
             b=np.array([0.5, 0.5]),
             c=np.array([0.5 - g, 0.5 + g]),
             explicit=False,
             name="gauss2",
         ),
-    }
+    ]
+    return {tableau.name: tableau for tableau in tableaux}
 
 
 _NAMED = _make_named()

@@ -303,6 +303,14 @@ class TestOutputHandling:
         assert code == EXIT_USAGE
         assert "error:" in err
 
+    @pytest.mark.parametrize("text, value", [("2^1", 2.0), ("0", 0.0), ("-0.25", -0.25)])
+    def test_usage_error_on_eps_out_of_range(self, text, value, capsys):
+        """The CLI's epsilon range is the library's one rule, message and all."""
+        code, out, err = run_cli(["solve", "--n-intervals", "8", "--eps", text], capsys)
+        with pytest.raises(ValueError) as raised:
+            make_builtin("layer1", value)
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {raised.value}\n")
+
     def test_console_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "shishkin_ivp.cli", "mesh", "--type", "uniform",

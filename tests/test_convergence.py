@@ -1,6 +1,7 @@
 """Tests for error measurement, order estimation and sweep tables."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from shishkin_ivp import (
     run_sweep,
     shishkin_order,
 )
+from shishkin_ivp import SCHEME_NAMES, convergence, mesh as mesh_module, named_tableau, steppers
+from shishkin_ivp.tableaux import EXPLICIT_SCHEMES
 
 from reference_tables import (
     REFERENCE_HEUN_ERRORS,
@@ -143,6 +146,156 @@ class TestRunSweep:
     def test_uniform_kind(self):
         table = run_sweep("heun", "decay", [0.5], 3, 4, mesh_kind="uniform")
         assert table.mesh_kind == "uniform"
+
+
+def cells_seen(monkeypatch):
+    """Hook convergence.max_error, as a harness would, and list each
+    cell's (nodes, widths, values) as run_sweep hands them over."""
+    seen = []
+    original = convergence.max_error
+
+    def hooked(trajectory, problem):
+        seen.append((trajectory.mesh.nodes, trajectory.mesh.widths, trajectory.values))
+        return original(trajectory, problem)
+
+    monkeypatch.setattr(convergence, "max_error", hooked)
+    return seen
+
+
+def public_cells(scheme, problem_name, epsilons, k_min, k_max, kind):
+    """The cells of run_sweep from public calls, one fresh mesh and
+    trajectory per cell, outside any sweep."""
+    errors = {}
+    for eps in epsilons:
+        problem = make_builtin(problem_name, eps)
+        for k in range(k_min, k_max + 1):
+            if kind == "shishkin":
+                mesh = build_shishkin_mesh(ShishkinParams(n_intervals=2**k, epsilon=eps))
+            else:
+                mesh = build_uniform_mesh(2**k)
+            errors[(eps, k)] = max_error(integrate(scheme, problem, mesh), problem)
+    return {
+        (eps, k): (error, shishkin_order(error, errors[(eps, k + 1)], k) if k < k_max else None)
+        for (eps, k), error in errors.items()
+    }
+
+
+class TestSweepArrays:
+    """run_sweep's cells take their meshes' nodes and widths, the kernel's
+    D grid and their node values from one set of arrays sized for the
+    largest cell; nothing else does."""
+
+    def test_cells_share_the_first_cells_arrays(self, monkeypatch):
+        """Both eps rows, scalar-driver cells (N < 128) and kernel cells."""
+        seen = cells_seen(monkeypatch)
+        run_sweep("heun", "layer1", [2.0**-4, 2.0**-8], 4, 11)
+        assert len(seen) == 16
+        first = seen[0]
+        for cell in seen:
+            for array, first_array in zip(cell, first):
+                assert np.shares_memory(array, first_array)
+        nodes, widths, values = first
+        assert not np.shares_memory(nodes, widths)
+        assert not np.shares_memory(nodes, values)
+        assert not np.shares_memory(widths, values)
+
+    def test_fresh_arrays_outside_a_sweep(self, monkeypatch):
+        seen = cells_seen(monkeypatch)
+        run_sweep("heun", "layer1", [2.0**-4], 6, 8)
+        assert mesh_module._SWEEP_ARRAYS.get() is None
+        problem = make_builtin("layer1", 2.0**-4)
+        runs = []
+        for _ in range(2):
+            for mesh in (
+                build_shishkin_mesh(ShishkinParams(n_intervals=2**8, epsilon=2.0**-4)),
+                build_uniform_mesh(2**8),
+            ):
+                trajectory = integrate("heun", problem, mesh)
+                runs.append((mesh.nodes, mesh.widths, trajectory.values))
+        swept = [array for cell in seen[:1] for array in cell]
+        fresh = [array for run in runs for array in run]
+        for i, array in enumerate(fresh):
+            assert not any(np.shares_memory(array, other) for other in swept + fresh[:i])
+
+    def test_failing_sweep_releases_its_arrays(self):
+        with pytest.raises(ArithmeticError):
+            run_sweep("heun", "layer1", [2.0**-30], 6, 7, mesh_kind="uniform")
+        assert mesh_module._SWEEP_ARRAYS.get() is None
+
+    def test_another_thread_gets_fresh_arrays(self, monkeypatch):
+        """An integrate in another thread, run while a sweep's first cell is
+        open, neither takes the sweep's arrays nor writes to them."""
+        original = convergence.max_error
+        swept, found = [], []
+
+        def other_thread():
+            problem = make_builtin("layer1", 2.0**-6)
+            mesh = build_shishkin_mesh(ShishkinParams(n_intervals=2**9, epsilon=2.0**-6))
+            found.extend([mesh.nodes, mesh.widths, integrate("gauss2", problem, mesh).values])
+
+        def hooked(trajectory, problem):
+            if not swept:
+                swept.extend([trajectory.mesh.nodes, trajectory.mesh.widths, trajectory.values])
+                before = [array.copy() for array in swept]
+                thread = threading.Thread(target=other_thread)
+                thread.start()
+                thread.join()
+                assert [array.tobytes() for array in swept] == [a.tobytes() for a in before]
+            return original(trajectory, problem)
+
+        monkeypatch.setattr(convergence, "max_error", hooked)
+        run_sweep("heun", "layer1", [2.0**-6], 9, 10)
+        assert len(found) == 3
+        for array in found:
+            assert not any(np.shares_memory(array, other) for other in swept)
+
+    @pytest.mark.parametrize("n", [1000, 5000, 2**12 + 3])
+    @pytest.mark.parametrize("scheme", ["heun", "rk3_a", "gauss2"])
+    def test_stale_arrays_leave_no_trace(self, scheme, n):
+        """Sweep arrays full of nan, as a cell could leave them, under a
+        ragged mesh whose last scan row ends in padding steps: the kernel
+        runs and its values are those of fresh arrays."""
+        problem = make_builtin("layer1", 2.0**-6)
+        mesh = build_uniform_mesh(n)
+        fresh = steppers._affine_integrate(named_tableau(scheme), problem, mesh)
+        slots = ("nodes", "widths", "d", "values")
+        token = mesh_module._SWEEP_ARRAYS.set({slot: np.full(2**13 + 1, np.nan) for slot in slots})
+        try:
+            got = steppers._affine_integrate(named_tableau(scheme), problem, mesh)
+            stale = mesh_module._SWEEP_ARRAYS.get()["values"]
+        finally:
+            mesh_module._SWEEP_ARRAYS.reset(token)
+        assert fresh is not None and got is not None and np.shares_memory(got, stale)
+        assert got.tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("kind", ["shishkin", "uniform"])
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    def test_cells_are_the_public_calls(self, scheme, kind):
+        """Bit for bit, every cell after one that left longer arrays behind:
+        k = 4..6 on the scalar driver, 7..11 on the kernel."""
+        epsilons = [1.0, 2.0**-4, 2.0**-10]
+        table = run_sweep(scheme, "layer1", epsilons, 4, 11, mesh_kind=kind)
+        got = {key: (cell.error, cell.order) for key, cell in table.entries.items()}
+        assert got == public_cells(scheme, "layer1", epsilons, 4, 11, kind)
+
+    @pytest.mark.parametrize("scheme", EXPLICIT_SCHEMES)
+    def test_gate_rejected_and_failing_cells(self, scheme):
+        """decay at eps = 2^-9 on 128 uniform intervals (h/eps = 4) is
+        expansive: the kernel's gate rejects it and the scalar driver runs
+        the cell.  layer1 at eps = 2^-30 blows up on 128 intervals, with the
+        public call's message behind the cell's."""
+        rejected = make_builtin("decay", 2.0**-9), build_uniform_mesh(2**7)
+        assert steppers._affine_integrate(named_tableau(scheme), *rejected) is None
+        table = run_sweep(scheme, "decay", [2.0**-9], 7, 8, mesh_kind="uniform")
+        got = {key: (cell.error, cell.order) for key, cell in table.entries.items()}
+        assert got == public_cells(scheme, "decay", [2.0**-9], 7, 8, "uniform")
+        eps = 2.0**-30
+        with pytest.raises(ArithmeticError) as lone:
+            integrate(scheme, make_builtin("layer1", eps), build_uniform_mesh(2**7))
+        with pytest.raises(ArithmeticError) as swept:
+            run_sweep(scheme, "layer1", [eps], 7, 8, mesh_kind="uniform")
+        assert type(swept.value) is type(lone.value)
+        assert str(swept.value) == f"sweep cell (eps={eps:.17g}, k=7) failed: {lone.value}"
 
 
 class TestReferenceTableReproduction:

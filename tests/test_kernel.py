@@ -1414,14 +1414,21 @@ class TestScalarDriver:
 
     @pytest.mark.parametrize("failure", [None, "nan q", "raising p"])
     @pytest.mark.parametrize(
-        "n, array_call", [(40, "raises"), (40, "wrong shape"), (KERNEL_BLOCK + 16, "wrong shape")]
+        "n, array_call",
+        [
+            (40, "raises"),
+            (40, "wrong shape"),
+            (KERNEL_BLOCK + 16, "raises"),
+            (KERNEL_BLOCK + 16, "wrong shape"),
+        ],
     )
     def test_gauss2_trusted_pair_whose_array_call_fails(self, n, array_call, failure):
         """A trusted pair whose p raises ZeroDivisionError on an array, or
         returns an array of the wrong shape, runs on float calls: the
         values, or the class, message and step of the failure from step
         n - 11 on, are the oracle's.  (From KERNEL_MIN_INTERVALS on, the
-        kernel's own array call lets the ZeroDivisionError out.)"""
+        kernel's gate rejects the run first: array_eval takes any exception
+        from an array call as a rejection.)"""
         mesh = build_uniform_mesh(n)
         i = n - 11
         x_bad = float(mesh.nodes[i])
@@ -1447,6 +1454,23 @@ class TestScalarDriver:
         elif failure == "raising p":
             with pytest.raises(ZeroDivisionError, match="^custom division at "):
                 integrate("gauss2", problem, mesh)
+
+    @pytest.mark.parametrize("scheme", ["heun", "gauss2"])
+    @pytest.mark.parametrize("n", [KERNEL_MIN_INTERVALS - 1, KERNEL_MIN_INTERVALS])
+    def test_linear_pair_raising_on_arrays_across_the_crossover(self, scheme, n):
+        """A p that raises ZeroDivisionError on arrays and returns -1.0 on
+        floats integrates as the oracle does on both sides of
+        KERNEL_MIN_INTERVALS: the float calls decide the result, as the
+        oracle's do, and the kernel's array call only rejects the run."""
+
+        def p(x):
+            if isinstance(x, np.ndarray):
+                raise ZeroDivisionError("array division")
+            return -1.0
+
+        problem = linear(p, lambda x: x)
+        assert check_bit_identical(scheme, problem, build_uniform_mesh(n)) == "identical"
+        assert check_against_oracle(scheme, problem, build_uniform_mesh(n)) == "identical"
 
 
 #: |R(z)| <= 1 on [-bound, 0] of the real axis: 2 for the two-stage

@@ -425,8 +425,9 @@ class TestArrayEval:
             lambda x: np.ones((1, 4)),
             math.exp,
             scalars_only,
+            lambda x: 1.0 / 0,
         ],
-        ids=["short", "two-d", "leading-unit-axis", "type-error", "value-error"],
+        ids=["short", "two-d", "leading-unit-axis", "type-error", "value-error", "zero-division"],
     )
     def test_rejection_is_none(self, fn):
         assert array_eval(fn, self.x) is None
