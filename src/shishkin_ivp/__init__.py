@@ -50,43 +50,3 @@ from .tableaux import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BUILTIN_NAMES",
-    "ButcherTableau",
-    "ConvergenceTable",
-    "EvaluationError",
-    "GAUSS2_GAMMA",
-    "MESH_SHISHKIN",
-    "MESH_UNIFORM",
-    "Mesh",
-    "NOMINAL_ORDER",
-    "OrderCondition",
-    "Problem",
-    "SCHEME_NAMES",
-    "SIGMA_CAP",
-    "ShishkinParams",
-    "SingularStepError",
-    "StageEvaluationError",
-    "SweepCell",
-    "Trajectory",
-    "build_from_sigma",
-    "build_shishkin_mesh",
-    "build_uniform_mesh",
-    "exact_eval",
-    "explicit_rk_step",
-    "gauss2_linear_step",
-    "generating_function_eval",
-    "integrate",
-    "linear_coeffs_eval",
-    "make_builtin",
-    "max_error",
-    "named_tableau",
-    "oscillation_count",
-    "rhs_eval",
-    "run_sweep",
-    "shishkin_order",
-    "transition_point",
-    "validate_mesh",
-    "verify_order_conditions",
-]

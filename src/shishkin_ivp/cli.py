@@ -38,10 +38,6 @@ MAX_INTERVALS = 2**MAX_LOG2_INTERVALS
 _POWER_FORM = re.compile(r"^2\^([+-]?\d+(?:\.\d+)?)$")
 
 
-class UsageError(ValueError):
-    """Invalid command-line input."""
-
-
 def parse_epsilon(text: str) -> float:
     """Parse a perturbation parameter: decimal (``0.25``) or power form
     (``2^-7.225``).  The value must land in (0, 1]: Problem's epsilon rule."""
@@ -53,7 +49,7 @@ def parse_epsilon(text: str) -> float:
         try:
             value = float(text)
         except ValueError:
-            raise UsageError(
+            raise ValueError(
                 f"cannot parse epsilon {text!r}; use e.g. 0.25 or 2^-7.225"
             ) from None
     _check_epsilon(value)
@@ -341,9 +337,9 @@ def run(args: argparse.Namespace) -> Iterable[bytes]:
 
     if args.command == "sweep":
         if not epsilons:
-            raise UsageError("--eps is required for sweep")
+            raise ValueError("--eps is required for sweep")
         if args.kmax > MAX_LOG2_INTERVALS:
-            raise UsageError(
+            raise ValueError(
                 f"--kmax must be at most {MAX_LOG2_INTERVALS}, got {args.kmax}"
             )
         table = convergence.run_sweep(
@@ -354,14 +350,14 @@ def run(args: argparse.Namespace) -> Iterable[bytes]:
         return [format_sweep_csv(table).encode()]
 
     if len(epsilons) > 1:
-        raise UsageError("this command takes a single --eps value")
+        raise ValueError("this command takes a single --eps value")
     eps = epsilons[0] if epsilons else None
     if eps is None and args.command != "mesh":
-        raise UsageError(f"--eps is required for {args.command}")
+        raise ValueError(f"--eps is required for {args.command}")
     if eps is None and args.mesh == MESH_SHISHKIN:
-        raise UsageError("--eps is required for a shishkin mesh")
+        raise ValueError("--eps is required for a shishkin mesh")
     if args.n_intervals > MAX_INTERVALS:
-        raise UsageError(
+        raise ValueError(
             f"--n-intervals must be at most {MAX_INTERVALS}, got {args.n_intervals}"
         )
     mesh = convergence.build_mesh(args.mesh, args.n_intervals, eps, *grading)
@@ -436,7 +432,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         blocks = run(args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ArithmeticError as exc:

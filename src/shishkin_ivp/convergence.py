@@ -153,6 +153,4 @@ def oscillation_count(trajectory: Trajectory) -> int:
         raise ValueError("need at least 3 values to count oscillations")
     increments = np.diff(values)
     signs = np.sign(increments[np.abs(increments) > OSCILLATION_DEADBAND])
-    if len(signs) < 2:
-        return 0
     return int(np.sum(signs[1:] != signs[:-1]))

@@ -73,18 +73,19 @@ class Problem:
                     f"exact({self.x0}) = {y_start!r} does not match y0 = {self.y0!r}"
                 )
         if self.linear is not None and not _trusted_linear(self):
-            # Spot-check the advertised linear form at the domain ends and
-            # the midpoint: equal values (infinities included) agree, finite
-            # ones within a relative 1e-12; a nan on either side disagrees.
+            # Spot-check the advertised linear form at the domain ends and the
+            # midpoint, each at y0 and y0 + 1: equal values (infinities included)
+            # agree, finite ones within a relative 1e-12; a nan on either side disagrees.
             with np.errstate(all="ignore"):
                 for x in (self.x0, 0.5 * (self.x0 + self.domain_end), self.domain_end):
                     p, q = linear_coeffs_eval(self, x)
-                    r = self.rhs(x, self.y0)
-                    f, tol = p * self.y0 + q, 1e-12 * (1.0 + abs(r))
-                    if not (r == f or math.isfinite(r) and abs(r - f) <= tol):
-                        raise ValueError(
-                            f"linear form p(x)*y + q(x) disagrees with rhs at x={x}"
-                        )
+                    for y in (self.y0, self.y0 + 1.0):
+                        r = self.rhs(x, y)
+                        f, tol = p * y + q, 1e-12 * (1.0 + abs(r))
+                        if not (r == f or math.isfinite(r) and abs(r - f) <= tol):
+                            raise ValueError(
+                                f"linear form p(x)*y + q(x) disagrees with rhs at x={x}"
+                            )
 
     @property
     def problem_id(self) -> str:

@@ -438,6 +438,11 @@ class TestOscillationCount:
         trajectory, _ = trajectory_from_values([0.0, 1e-16, 0.0, 1e-16, 0.0, 0.5])
         assert oscillation_count(trajectory) == 0
 
+    def test_constant_is_zero(self):
+        """No increment leaves the dead band, so there are no signs at all."""
+        trajectory, _ = trajectory_from_values([0.5, 0.5, 0.5, 0.5])
+        assert oscillation_count(trajectory) == 0
+
     def test_requires_three_values(self):
         trajectory, _ = trajectory_from_values([0.0, 1.0])
         with pytest.raises(ValueError, match="at least 3"):

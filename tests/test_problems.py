@@ -168,7 +168,7 @@ class TestBuiltinFloatArrayIdentity:
 
 class TestSpotCheck:
     """Problem spot-checks a linear form against rhs at x0, the midpoint
-    and domain_end; make_builtin's problems skip it."""
+    and domain_end, each at y0 and y0 + 1; make_builtin's problems skip it."""
 
     @pytest.fixture
     def spot_points(self, monkeypatch):
@@ -257,6 +257,19 @@ class TestSpotCheck:
             linear=(lambda x: math.inf, lambda x: 0.0),
         )
         assert problem.linear is not None
+
+    def test_wrong_p_at_a_zero_y0_disagrees(self):
+        """At y0 = 0 the rhs and this form agree whatever p is; the check
+        at y0 + 1 sees that p is -2 where rhs has -1."""
+        message = r"linear form p\(x\)\*y \+ q\(x\) disagrees with rhs at x=0.0"
+        with pytest.raises(ValueError, match=message):
+            Problem(
+                epsilon=1.0,
+                x0=0.0,
+                y0=0.0,
+                rhs=lambda x, y: -y + 1.0,
+                linear=(lambda x: -2.0, lambda x: 1.0),
+            )
 
     def test_infinite_rhs_against_a_finite_form_disagrees(self):
         with pytest.raises(ValueError, match="disagrees with rhs at x=0.0"):
