@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import convergence
-from .mesh import MESH_SHISHKIN, MESH_UNIFORM, Mesh
+from .mesh import MESH_SHISHKIN, MESH_UNIFORM, Mesh, ShishkinParams
 from .problems import BUILTIN_NAMES, Problem, _check_epsilon, exact_eval, make_builtin
 from .steppers import Trajectory, integrate
 from .tableaux import SCHEME_NAMES
@@ -333,17 +333,18 @@ def run(args: argparse.Namespace) -> Iterable[bytes]:
     computed."""
     labels = tuple(part.strip() for part in args.eps.split(",")) if args.eps else ()
     epsilons = tuple(parse_epsilon(part) for part in labels)
-    grading = (args.mesh_order, args.mesh_b, args.alpha)  # Shishkin meshes only
+    grading = {f: getattr(args, f) for f in ("method_order", "layer_constant", "split")}
+    if not epsilons and not (args.command == "mesh" and args.mesh == MESH_UNIFORM):
+        what = "a shishkin mesh" if args.command == "mesh" else args.command
+        raise ValueError(f"--eps is required for {what}")
 
     if args.command == "sweep":
-        if not epsilons:
-            raise ValueError("--eps is required for sweep")
         if args.kmax > MAX_LOG2_INTERVALS:
             raise ValueError(
                 f"--kmax must be at most {MAX_LOG2_INTERVALS}, got {args.kmax}"
             )
         table = convergence.run_sweep(
-            args.scheme, args.problem, epsilons, args.kmin, args.kmax, args.mesh, *grading
+            args.scheme, args.problem, epsilons, args.kmin, args.kmax, args.mesh, **grading
         )
         if args.format == "md":
             return [format_sweep_markdown(table, labels).encode()]
@@ -352,15 +353,11 @@ def run(args: argparse.Namespace) -> Iterable[bytes]:
     if len(epsilons) > 1:
         raise ValueError("this command takes a single --eps value")
     eps = epsilons[0] if epsilons else None
-    if eps is None and args.command != "mesh":
-        raise ValueError(f"--eps is required for {args.command}")
-    if eps is None and args.mesh == MESH_SHISHKIN:
-        raise ValueError("--eps is required for a shishkin mesh")
     if args.n_intervals > MAX_INTERVALS:
         raise ValueError(
             f"--n-intervals must be at most {MAX_INTERVALS}, got {args.n_intervals}"
         )
-    mesh = convergence.build_mesh(args.mesh, args.n_intervals, eps, *grading)
+    mesh = convergence.build_mesh(args.mesh, args.n_intervals, eps, **grading)
     if args.command == "mesh":
         return _csv_blocks(*_mesh_table(mesh))
     problem = make_builtin(args.problem, eps)
@@ -389,15 +386,14 @@ def _add_common(sub: argparse.ArgumentParser, *, with_scheme: bool = True):
         "--eps", "--epsilon", dest="eps", default=None,
         help="perturbation parameter(s), comma-separated; decimal or 2^-k form",
     )
-    sub.add_argument("--mesh-order", type=int, default=2, metavar="N",
-                     help="Shishkin mesh grading order n (default: 2); "
-                          "ignored with --mesh uniform")
-    sub.add_argument("--mesh-b", type=float, default=1.0, metavar="B",
-                     help="Shishkin layer constant b (default: 1); "
-                          "ignored with --mesh uniform")
-    sub.add_argument("--alpha", type=float, default=0.5,
-                     help="Shishkin node split alpha (default: 0.5); "
-                          "ignored with --mesh uniform")
+    for flag, field, kind, metavar, text in (
+        ("--mesh-order", "method_order", int, "N", "Shishkin mesh grading order n"),
+        ("--mesh-b", "layer_constant", float, "B", "Shishkin layer constant b"),
+        ("--alpha", "split", float, "ALPHA", "Shishkin node split alpha"),
+    ):
+        sub.add_argument(flag, dest=field, type=kind, metavar=metavar,
+                         default=getattr(ShishkinParams, field),
+                         help=f"{text} (default: %(default)s); ignored with --mesh uniform")
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
 
 

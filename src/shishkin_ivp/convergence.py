@@ -77,23 +77,14 @@ def shishkin_order(e_n: float, e_2n: float, k: int) -> float:
     return math.log(e_n / e_2n) / math.log(2.0 * k / (k + 1.0))
 
 
-def build_mesh(
-    mesh_kind: str,
-    n_intervals: int,
-    epsilon: float | None,
-    method_order: int = 2,
-    layer_constant: float = 1.0,
-    split: float = 0.5,
-) -> Mesh:
-    """A uniform mesh, or the Shishkin mesh for epsilon; the grading
-    parameters and epsilon apply to Shishkin meshes only."""
+def build_mesh(mesh_kind: str, n_intervals: int, epsilon: float | None, **grading) -> Mesh:
+    """A uniform mesh, or the Shishkin mesh for epsilon; epsilon and the
+    grading, ShishkinParams' keyword fields, apply to Shishkin meshes only."""
     if mesh_kind == MESH_UNIFORM:
         return build_uniform_mesh(n_intervals)
     if mesh_kind != MESH_SHISHKIN:
         raise ValueError(f"unknown mesh kind {mesh_kind!r}")
-    return build_shishkin_mesh(
-        ShishkinParams(n_intervals, epsilon, method_order, layer_constant, split)
-    )
+    return build_shishkin_mesh(ShishkinParams(n_intervals, epsilon, **grading))
 
 
 def run_sweep(
@@ -103,9 +94,7 @@ def run_sweep(
     k_min: int,
     k_max: int,
     mesh_kind: str = MESH_SHISHKIN,
-    method_order: int = 2,
-    layer_constant: float = 1.0,
-    split: float = 0.5,
+    **grading,
 ) -> ConvergenceTable:
     """Integrate over meshes N = 2^k for every (epsilon, k), one cell at a
     time, and tabulate errors with orders from consecutive refinements.
@@ -124,7 +113,7 @@ def run_sweep(
             problem = make_builtin(problem_name, eps)
             for k in k_range:
                 try:
-                    mesh = build_mesh(mesh_kind, 2**k, eps, method_order, layer_constant, split)
+                    mesh = build_mesh(mesh_kind, 2**k, eps, **grading)
                     errors[(eps, k)] = max_error(integrate(scheme, problem, mesh), problem)
                 except (ValueError, ArithmeticError) as exc:
                     raise type(exc)(f"sweep cell (eps={eps:.17g}, k={k}) failed: {exc}") from exc

@@ -68,21 +68,22 @@ class Problem:
         object.__setattr__(self, "_bounds", (self.x0 - slack, self.domain_end + slack))
         if self.exact is not None:
             y_start = self.exact(self.x0)
-            if not abs(y_start - self.y0) <= 1e-12:  # a nan disagrees
+            if not abs(y_start - self.y0) <= 1e-12 * max(1.0, abs(self.y0)):  # a nan disagrees
                 raise ValueError(
-                    f"exact({self.x0}) = {y_start!r} does not match y0 = {self.y0!r}"
+                    f"exact({self.x0}) = {float(y_start)!r} does not match y0 = {self.y0!r}"
                 )
         if self.linear is not None and not _trusted_linear(self):
             # Spot-check the advertised linear form at the domain ends and the
             # midpoint, each at y0 and y0 + 1: equal values (infinities included)
-            # agree, finite ones within a relative 1e-12; a nan on either side disagrees.
+            # agree, others if they differ by at most 1e-12 of the largest of 1,
+            # |rhs|, |p*y| and |q|; a nan or an infinite difference disagrees.
             with np.errstate(all="ignore"):
                 for x in (self.x0, 0.5 * (self.x0 + self.domain_end), self.domain_end):
                     p, q = linear_coeffs_eval(self, x)
                     for y in (self.y0, self.y0 + 1.0):
                         r = self.rhs(x, y)
-                        f, tol = p * y + q, 1e-12 * (1.0 + abs(r))
-                        if not (r == f or math.isfinite(r) and abs(r - f) <= tol):
+                        f, tol = p * y + q, 1e-12 * max(1.0, abs(r), abs(p * y), abs(q))
+                        if not (r == f or math.isfinite(r - f) and abs(r - f) <= tol):
                             raise ValueError(
                                 f"linear form p(x)*y + q(x) disagrees with rhs at x={x}"
                             )

@@ -100,6 +100,49 @@ class TestMeshCommand:
         assert code == EXIT_USAGE
         assert "eps" in err
 
+    def test_grading_options_reach_the_mesh(self, capsys):
+        code, out, _ = run_cli(
+            ["mesh", "--n-intervals", "16", "--eps", "2^-6",
+             "--mesh-order", "1", "--mesh-b", "2", "--alpha", "0.25"],
+            capsys,
+        )
+        params = ShishkinParams(16, 2.0**-6, method_order=1, layer_constant=2.0, split=0.25)
+        assert (code, out) == (EXIT_OK, cli.format_mesh_csv(build_shishkin_mesh(params)))
+
+    def test_grading_help_shows_the_params_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["mesh", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for flag, field in (
+            ("--mesh-order N", "method_order"),
+            ("--mesh-b B", "layer_constant"),
+            ("--alpha ALPHA", "split"),
+        ):
+            assert flag in text
+            assert f"(default: {getattr(ShishkinParams, field)})" in text
+
+
+class TestEpsRequired:
+    """One rule: every command needs --eps except mesh --mesh uniform."""
+
+    @pytest.mark.parametrize(
+        "args, what",
+        [
+            (["mesh", "--n-intervals", "8"], "a shishkin mesh"),
+            (["solve", "--n-intervals", "8"], "solve"),
+            (["stability", "--n-intervals", "8", "--mesh", "uniform"], "stability"),
+            (["sweep", "--kmin", "3", "--kmax", "4"], "sweep"),
+        ],
+    )
+    def test_missing_eps_is_usage_error(self, args, what, capsys):
+        assert run_cli(args, capsys) == (EXIT_USAGE, "", f"error: --eps is required for {what}\n")
+
+    def test_solve_takes_a_single_eps(self, capsys):
+        message = "error: this command takes a single --eps value\n"
+        assert run_cli(["solve", "--n-intervals", "8", "--eps", "0.1,0.2"], capsys) == (
+            EXIT_USAGE, "", message
+        )
+
 
 class TestDegenerateMesh:
     """eps = 2^-1074 with N = 2^20 would give a zero fine width: a usage
@@ -212,6 +255,11 @@ class TestSweepCommand:
         for cell in cells[:1]:
             float(cell)
             assert "e-" in cell
+
+    def test_markdown_labels_default_to_the_epsilons(self):
+        table = run_sweep("heun", "layer1", [2.0**-6], 3, 4)
+        header = cli.format_sweep_markdown(table).splitlines()[0]
+        assert header == "| N | E_N (eps=0.015625) | ord |"
 
     def test_requires_k_range(self, capsys):
         with pytest.raises(SystemExit):

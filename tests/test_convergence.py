@@ -148,6 +148,37 @@ class TestRunSweep:
         assert table.mesh_kind == "uniform"
 
 
+class TestGrading:
+    """build_mesh and run_sweep hand the grading keywords to ShishkinParams,
+    whose fields and defaults are the only ones."""
+
+    def test_unknown_mesh_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown mesh kind 'bogus'"):
+            convergence.build_mesh("bogus", 8, 0.5)
+
+    def test_grading_reaches_the_shishkin_mesh(self):
+        grading = {"method_order": 1, "layer_constant": 2.0, "split": 0.25}
+        got = convergence.build_mesh("shishkin", 16, 2.0**-6, **grading)
+        want = build_shishkin_mesh(ShishkinParams(16, 2.0**-6, **grading))
+        assert np.array_equal(got.nodes, want.nodes) and got.sigma == want.sigma
+
+    def test_grading_ignored_on_a_uniform_mesh(self):
+        got = convergence.build_mesh("uniform", 8, None, method_order=-3, split=7.0)
+        assert np.array_equal(got.nodes, build_uniform_mesh(8).nodes)
+
+    def test_sweep_passes_the_grading_on(self):
+        eps, problem = 2.0**-6, make_builtin("layer1", 2.0**-6)
+        graded = run_sweep("heun", "layer1", [eps], 10, 11, method_order=1)
+        plain = run_sweep("heun", "layer1", [eps], 10, 11)
+        mesh = build_shishkin_mesh(ShishkinParams(2**10, eps, method_order=1))
+        error = max_error(integrate("heun", problem, mesh), problem)
+        assert graded.entries[(eps, 10)].error == error != plain.entries[(eps, 10)].error
+
+    def test_misspelled_grading_keyword_raises(self):
+        with pytest.raises(TypeError, match="layer_const"):
+            run_sweep("heun", "layer1", [0.25], 3, 4, layer_const=2.0)
+
+
 def cells_seen(monkeypatch):
     """Hook convergence.max_error, as a harness would, and list each
     cell's (nodes, widths, values) as run_sweep hands them over."""

@@ -321,6 +321,11 @@ class TestUniformMesh:
 
 
 class TestValidateMesh:
+    def test_widths_must_number_one_less_than_nodes(self):
+        nodes = np.array([0.0, 0.5, 1.0])
+        with pytest.raises(ValueError, match=r"mesh needs N\+1 nodes and N widths"):
+            Mesh(nodes=nodes, widths=np.full(3, 0.5), kind="uniform")
+
     def test_monotonicity_violation(self):
         nodes = np.array([0.0, 0.5, 0.4, 1.0])
         mesh = Mesh(nodes=nodes, widths=np.diff(nodes), kind="uniform")

@@ -281,6 +281,31 @@ class TestSpotCheck:
                 linear=(lambda x: -1.0, lambda x: 0.0),
             )
 
+    def test_cancelling_rhs_agrees_with_its_form(self):
+        """rhs reads 0 at (0, y0), where p*y0 and q are 2.3e9 in size and
+        p*y0 + q rounds to ~1e-7: the tolerance scales with |p*y| and |q|."""
+        eps = 3e-10
+        problem = Problem(
+            epsilon=eps,
+            x0=0.0,
+            y0=0.7,
+            rhs=lambda x, y: (0.7 * math.exp(-x) - y) / eps,
+            linear=(lambda x: -1 / eps, lambda x: 0.7 * math.exp(-x) / eps),
+        )
+        assert problem.linear is not None
+
+    def test_finite_rhs_against_an_infinite_p_disagrees(self):
+        """|p*y| = inf makes the tolerance infinite; the infinite difference
+        still disagrees."""
+        with pytest.raises(ValueError, match="disagrees with rhs at x=1.0"):
+            Problem(
+                epsilon=1.0,
+                x0=0.0,
+                y0=1.0,
+                rhs=lambda x, y: -y,
+                linear=(lambda x: -math.inf if x == 1.0 else -1.0, lambda x: 0.0),
+            )
+
 
 def load_perfbench_spans():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -557,6 +582,30 @@ class TestDomainBounds:
 
 
 class TestProblemValidation:
+    def test_exact_within_an_ulp_of_a_large_y0_matches(self):
+        """exact(0.01) is one ulp (1.2e-10) above y0: the tolerance is
+        relative to |y0|."""
+        problem = Problem(
+            epsilon=1.0,
+            x0=0.01,
+            y0=1e6 * math.exp(-0.01),
+            rhs=lambda x, y: -y,
+            exact=lambda x: 1e6 / np.exp(x),
+        )
+        assert problem.exact is not None
+
+    def test_exact_off_a_large_y0_prints_a_python_float(self):
+        y0 = 1e6 * math.exp(-0.01) * (1 + 1e-11)
+        message = rf"exact\(0.01\) = 990049.8337491682 does not match y0 = {y0!r}$"
+        with pytest.raises(ValueError, match=message):
+            Problem(
+                epsilon=1.0,
+                x0=0.01,
+                y0=y0,
+                rhs=lambda x, y: -y,
+                exact=lambda x: 1e6 / np.exp(x),
+            )
+
     def test_exact_must_match_y0(self):
         with pytest.raises(ValueError, match="does not match y0"):
             Problem(

@@ -11,6 +11,7 @@ from shishkin_ivp import (
     Problem,
     SingularStepError,
     StageEvaluationError,
+    Trajectory,
     build_from_sigma,
     build_uniform_mesh,
     explicit_rk_step,
@@ -166,6 +167,11 @@ class TestGauss2Step:
         problem = make_builtin("decay", 0.25)
         assert gauss2_linear_step(problem, 0.3, 0.7, 0.0) == 0.7
 
+    def test_negative_step_rejected(self):
+        problem = make_builtin("decay", 0.25)
+        with pytest.raises(ValueError, match="step size must be nonnegative, got -0.1"):
+            gauss2_linear_step(problem, 0.3, 0.7, -0.1)
+
     @pytest.mark.parametrize(
         "x, h",
         [(5.0, 0.5), (0.9, 0.2), (-0.5, 0.2),
@@ -263,6 +269,11 @@ class TestIntegrate:
         mesh = build_from_sigma(8, 0.5, 0.2)
         trajectory = integrate("heun", problem, mesh)
         assert np.all(trajectory.values == 1.0)
+
+    def test_trajectory_needs_one_value_per_node(self):
+        mesh = build_uniform_mesh(8)
+        with pytest.raises(ValueError, match="one value per mesh node required"):
+            Trajectory(mesh=mesh, values=np.zeros(8), scheme_id="heun", problem_id="p")
 
     def test_trajectory_metadata(self):
         problem = make_builtin("layer1", 0.25)
