@@ -35,6 +35,14 @@ EXIT_USAGE = 2
 MAX_LOG2_INTERVALS = 22
 MAX_INTERVALS = 2**MAX_LOG2_INTERVALS
 
+#: The Shishkin grading flags: flag, ShishkinParams field (the dest), type,
+#: metavar and help.  run() passes the fields on as one dict.
+_GRADING_FLAGS = (
+    ("--mesh-order", "method_order", int, "N", "Shishkin mesh grading order n"),
+    ("--mesh-b", "layer_constant", float, "B", "Shishkin layer constant b"),
+    ("--alpha", "split", float, "ALPHA", "Shishkin node split alpha"),
+)
+
 _POWER_FORM = re.compile(r"^2\^([+-]?\d+(?:\.\d+)?)$")
 
 
@@ -333,16 +341,14 @@ def run(args: argparse.Namespace) -> Iterable[bytes]:
     computed."""
     labels = tuple(part.strip() for part in args.eps.split(",")) if args.eps else ()
     epsilons = tuple(parse_epsilon(part) for part in labels)
-    grading = {f: getattr(args, f) for f in ("method_order", "layer_constant", "split")}
+    grading = {field: getattr(args, field) for _, field, *_ in _GRADING_FLAGS}
     if not epsilons and not (args.command == "mesh" and args.mesh == MESH_UNIFORM):
         what = "a shishkin mesh" if args.command == "mesh" else args.command
         raise ValueError(f"--eps is required for {what}")
 
     if args.command == "sweep":
         if args.kmax > MAX_LOG2_INTERVALS:
-            raise ValueError(
-                f"--kmax must be at most {MAX_LOG2_INTERVALS}, got {args.kmax}"
-            )
+            raise ValueError(f"--kmax must be at most {MAX_LOG2_INTERVALS}, got {args.kmax}")
         table = convergence.run_sweep(
             args.scheme, args.problem, epsilons, args.kmin, args.kmax, args.mesh, **grading
         )
@@ -354,9 +360,7 @@ def run(args: argparse.Namespace) -> Iterable[bytes]:
         raise ValueError("this command takes a single --eps value")
     eps = epsilons[0] if epsilons else None
     if args.n_intervals > MAX_INTERVALS:
-        raise ValueError(
-            f"--n-intervals must be at most {MAX_INTERVALS}, got {args.n_intervals}"
-        )
+        raise ValueError(f"--n-intervals must be at most {MAX_INTERVALS}, got {args.n_intervals}")
     mesh = convergence.build_mesh(args.mesh, args.n_intervals, eps, **grading)
     if args.command == "mesh":
         return _csv_blocks(*_mesh_table(mesh))
@@ -386,11 +390,7 @@ def _add_common(sub: argparse.ArgumentParser, *, with_scheme: bool = True):
         "--eps", "--epsilon", dest="eps", default=None,
         help="perturbation parameter(s), comma-separated; decimal or 2^-k form",
     )
-    for flag, field, kind, metavar, text in (
-        ("--mesh-order", "method_order", int, "N", "Shishkin mesh grading order n"),
-        ("--mesh-b", "layer_constant", float, "B", "Shishkin layer constant b"),
-        ("--alpha", "split", float, "ALPHA", "Shishkin node split alpha"),
-    ):
+    for flag, field, kind, metavar, text in _GRADING_FLAGS:
         sub.add_argument(flag, dest=field, type=kind, metavar=metavar,
                          default=getattr(ShishkinParams, field),
                          help=f"{text} (default: %(default)s); ignored with --mesh uniform")

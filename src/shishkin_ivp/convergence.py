@@ -8,6 +8,7 @@ ln(E_N / E_2N) / ln(2k / (k+1)).
 
 from __future__ import annotations
 
+import inspect
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -81,6 +82,7 @@ def build_mesh(mesh_kind: str, n_intervals: int, epsilon: float | None, **gradin
     """A uniform mesh, or the Shishkin mesh for epsilon; epsilon and the
     grading, ShishkinParams' keyword fields, apply to Shishkin meshes only."""
     if mesh_kind == MESH_UNIFORM:
+        inspect.signature(ShishkinParams).bind(n_intervals, epsilon, **grading)  # the names, not the values
         return build_uniform_mesh(n_intervals)
     if mesh_kind != MESH_SHISHKIN:
         raise ValueError(f"unknown mesh kind {mesh_kind!r}")

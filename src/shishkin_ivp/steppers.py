@@ -206,63 +206,47 @@ def _on_stages(fn, stage_x):
     return None if value is None else value.reshape(stage_x.shape)
 
 
-def _explicit_coefficients(a, b, p_fn, q_fn, stage_x, h):
-    """Block coefficients (see _affine_integrate) of an explicit tableau
-    given as lists a and b, by forward substitution of the stage slopes
-    k_j = alpha_j*y + beta_j for y' = p(x)*y + q(x).  D comes from p alone;
-    it is tested, and the alphas reduced, before q is evaluated.  D, S and
-    the maxima are the generic sums' doubles, from only the work that can
-    change them (README)."""
-    ps = _on_stages(p_fn, stage_x)
-    if ps is None:
-        return None
+def _explicit_coefficients(a, b, ps, h):
+    """Block algebra (see _affine_integrate) of an explicit tableau given
+    as lists a and b, from p's stage values ps, by forward substitution of
+    the stage slopes k_j = alpha_j*y + beta_j for y' = p(x)*y + q(x): D,
+    the alpha forms, and offsets(qs), which gives S and the beta forms.
+    D, S and the forms are the generic sums' doubles, from only the work
+    that can change them (README)."""
     # Stage value y + h * sum_k a_jk k_k = (1 + h*acc_a)*y + h*acc_b.
-    alphas, betas = [], []
+    alphas = []
     for a_j, p in zip(a, ps):
         acc = [alpha if w == 1.0 else w * alpha for w, alpha in zip(a_j, alphas) if w]
         alphas.append(p * (1.0 + h * sum(acc[1:], acc[0])) if acc else p)
-    d = h * sum(b_j * alpha for b_j, alpha in zip(b, alphas))
-    if not np.abs(1.0 + d).max() <= 1.0:
-        return None
-    a_max = max(np.abs(form).max() for form in [ps] + alphas[1:])
-    del alphas
-    qs = _on_stages(q_fn, stage_x)
-    if qs is None:
-        return None
-    for a_j, p, q in zip(a, ps, qs):
-        acc = [beta if w == 1.0 else w * beta for w, beta in zip(a_j, betas) if w]
-        betas.append(p * (h * sum(acc[1:], acc[0])) + q if acc else q)
-    s = h * sum(b_j * beta for b_j, beta in zip(b, betas))
-    return d, s, a_max, max(np.abs(form).max() for form in [qs] + betas[1:])
+
+    def offsets(qs):
+        betas = []
+        for a_j, p, q in zip(a, ps, qs):
+            acc = [beta if w == 1.0 else w * beta for w, beta in zip(a_j, betas) if w]
+            betas.append(p * (h * sum(acc[1:], acc[0])) + q if acc else q)
+        return h * sum(b_j * beta for b_j, beta in zip(b, betas)), [qs] + betas[1:]
+
+    return h * sum(b_j * alpha for b_j, alpha in zip(b, alphas)), [ps] + alphas[1:], offsets
 
 
-def _gauss2_coefficients(p_fn, q_fn, stage_x, h):
-    """Block coefficients (see _affine_integrate) of the two-stage Gauss
-    step, from the batched 2x2 stage solve by Cramer's rule; its
-    determinant is gauss2_linear_step's, bit for bit.  D is tested, and
-    the alphas reduced, before q is evaluated."""
-    g = GAUSS2_GAMMA
-    ps = _on_stages(p_fn, stage_x)
-    if ps is None:
-        return None
+def _gauss2_coefficients(ps, h):
+    """Block algebra (see _affine_integrate) of the two-stage Gauss step,
+    as _explicit_coefficients', from the batched 2x2 stage solve by
+    Cramer's rule, or None for a singular stage system; its determinant
+    is gauss2_linear_step's, bit for bit."""
     p1, p2 = ps
     denom = _gauss2_determinant(p1, p2, h)
     if not np.abs(denom).min() > SINGULAR_DENOMINATOR_TOL:
         return None
-    f1 = 1.0 - p1 * g * h
-    f2 = 1.0 + p2 * g * h
+    f1 = 1.0 - p1 * GAUSS2_GAMMA * h
+    f2 = 1.0 + p2 * GAUSS2_GAMMA * h
     alphas = [p1 * f2, p2 * f1]
-    d = 0.5 * h * (alphas[0] + alphas[1]) / denom
-    if not np.abs(1.0 + d).max() <= 1.0:
-        return None
-    a_max = max(np.abs(form).max() for form in alphas + [ps])
-    del alphas
-    qs = _on_stages(q_fn, stage_x)
-    if qs is None:
-        return None
-    betas = [qs[0] * f2, qs[1] * f1]
-    s = 0.5 * h * (betas[0] + betas[1]) / denom
-    return d, s, a_max, max(np.abs(form).max() for form in betas + [qs])
+
+    def offsets(qs):
+        betas = [qs[0] * f2, qs[1] * f1]
+        return 0.5 * h * (betas[0] + betas[1]) / denom, betas + [qs]
+
+    return 0.5 * h * (alphas[0] + alphas[1]) / denom, alphas + [ps], offsets
 
 
 #: Meshes with fewer intervals run the step recurrence as a plain loop
@@ -323,17 +307,17 @@ def _scan(d, values):
 
 def _affine_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
     """Node values from the affine-step kernel, or None when a block fails
-    the gate that integrate documents.
+    the gate that integrate documents, whose every clause is tested here.
 
-    Per block of intervals that pass _step_checks the coefficient
-    functions return None (gate failed) or (D, S, a_max, b_max): the step
-    y + (D*y + S), and the maximum magnitudes of alpha and beta over the
-    affine forms alpha*y + beta of the intermediates the scalar step
-    computes from y (p and q come from one call per block each).  D goes
-    into the scan's rows, S into its interval's result slot (see _scan;
-    zeroed padding steps are identities), so the call holds its output and
-    one 8N-byte D grid (a sweep's own: mesh._array) and KERNEL_BLOCK-sized
-    temporaries; one headroom test follows the scan.
+    Per block of intervals that pass _step_checks: one p call on its stage
+    abscissae, the coefficient function's D of the step y + (D*y + S) and
+    alpha forms, |1 + D| <= 1, a_max; then one q call, offsets' S and beta
+    forms, b_max (the largest |alpha| and |beta| of the affine forms
+    alpha*y + beta of the intermediates the scalar step computes from y).
+    D goes into the scan's rows, S into its interval's result slot (see
+    _scan; zeroed padding steps are identities), so the call holds its
+    output, one 8N-byte D grid (a sweep's own: mesh._array) and
+    KERNEL_BLOCK-sized temporaries; one headroom test follows the scan.
     """
     nodes, widths = mesh.nodes, mesh.widths
     n = len(widths)
@@ -345,21 +329,30 @@ def _affine_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
     values[0] = float(problem.y0)
     explicit = partial(_explicit_coefficients, tableau.a.tolist(), tableau.b.tolist())
     coefficients = explicit if tableau.explicit else _gauss2_coefficients
+    p_fn, q_fn = problem.linear
     a_max = b_max = 0.0
     with np.errstate(all="ignore"):
         for lo in range(0, n, KERNEL_BLOCK):
             hi = min(lo + KERNEL_BLOCK, n)
             h = widths[lo:hi]
             stage_x, failed = _step_checks(problem, tableau.c, nodes[lo:hi], h)
-            found = None if failed is not None else coefficients(*problem.linear, stage_x, h)
-            if found is None:
+            ps = None if failed is not None else _on_stages(p_fn, stage_x)
+            found = None if ps is None else coefficients(ps, h)
+            if found is None or not np.abs(1.0 + found[0]).max() <= 1.0:
                 return None
-            d, s, block_a, block_b = found
+            d, forms, offsets = found
+            a_max = max(a_max, *(np.abs(form).max() for form in forms))
+            del found, forms  # the alpha forms, before q's stage values
+            qs = _on_stages(q_fn, stage_x)
+            if qs is None:
+                return None
+            s, forms = offsets(qs)
+            b_max = max(b_max, *(np.abs(form).max() for form in forms))
+            del ps, qs, forms, offsets  # before the next block's arrays
             row, (full, tail) = lo // width, divmod(hi - lo, width)
             d_rows[:, row : row + full] = d[: full * width].reshape(full, width).T
             d_rows[:tail, -1] = d[full * width :]
             values[1 + lo : 1 + hi] = s
-            a_max, b_max = max(a_max, block_a), max(b_max, block_b)
         _scan(d_rows, values)
         y_max = max(values.max(), -values.min())
         if not y_max * a_max + b_max <= KERNEL_HEADROOM:

@@ -178,6 +178,20 @@ class TestGrading:
         with pytest.raises(TypeError, match="layer_const"):
             run_sweep("heun", "layer1", [0.25], 3, 4, layer_const=2.0)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: convergence.build_mesh("uniform", 8, None, layer_const=2.0),
+            lambda: run_sweep("heun", "decay", [0.5], 3, 4, mesh_kind="uniform", layer_const=2.0),
+        ],
+        ids=["build_mesh", "run_sweep"],
+    )
+    def test_misspelled_grading_keyword_raises_on_a_uniform_mesh(self, call):
+        """The grading's values are ignored on a uniform mesh, its names are
+        not: a keyword ShishkinParams lacks raises as on a Shishkin mesh."""
+        with pytest.raises(TypeError, match="layer_const"):
+            call()
+
 
 def cells_seen(monkeypatch):
     """Hook convergence.max_error, as a harness would, and list each

@@ -464,14 +464,23 @@ class TestGate:
 
 
 def kernel_block(tableau, problem, x, h):
-    """The kernel's coefficient layer on one block: the stage abscissae,
-    then None (gate failed) or D, S and the block's headroom maxima."""
+    """The kernel's coefficient layer on one block, with the gate that
+    _affine_integrate runs on it: the stage abscissae, then None (gate
+    failed) or D, S and the block's headroom maxima."""
     stage_x, failed = steppers._step_checks(problem, tableau.c, x, h)
     assert failed is None
+    p_fn, q_fn = problem.linear
+    ps = steppers._on_stages(p_fn, stage_x)
     if tableau.explicit:
-        lists = tableau.a.tolist(), tableau.b.tolist()
-        return stage_x, steppers._explicit_coefficients(*lists, *problem.linear, stage_x, h)
-    return stage_x, steppers._gauss2_coefficients(*problem.linear, stage_x, h)
+        found = steppers._explicit_coefficients(tableau.a.tolist(), tableau.b.tolist(), ps, h)
+    else:
+        found = steppers._gauss2_coefficients(ps, h)
+    if found is None or not np.abs(1.0 + found[0]).max() <= 1.0:
+        return stage_x, None
+    d, alpha_forms, offsets = found
+    s, beta_forms = offsets(steppers._on_stages(q_fn, stage_x))
+    a_max, b_max = (max(np.abs(form).max() for form in forms) for forms in (alpha_forms, beta_forms))
+    return stage_x, (d, s, a_max, b_max)
 
 
 def kernel_coefficients(scheme, problem, mesh):
@@ -652,9 +661,10 @@ class TestCoefficientLayer:
         assert 0 < sum(verdicts) < len(verdicts) / 2
 
 
-def counted_linear_problem(calls):
-    """y' = (-1 - x)*y + x on [0, 1], its p and q appending the shape of
-    every argument to ``calls`` under their names."""
+def counted_linear_problem(calls, p=lambda x: -1.0 - x, q=lambda x: x):
+    """y' = p(x)*y + q(x) on [0, 1], by default (-1 - x)*y + x, its p and
+    q appending the shape of every argument to ``calls`` under their
+    names."""
 
     def counted(name, fn):
         def callback(x):
@@ -667,8 +677,8 @@ def counted_linear_problem(calls):
         epsilon=1.0,
         x0=0.0,
         y0=1.0,
-        rhs=lambda x, y: (-1.0 - x) * y + x,
-        linear=(counted("p", lambda x: -1.0 - x), counted("q", lambda x: x)),
+        rhs=lambda x, y: p(x) * y + q(x),
+        linear=(counted("p", p), counted("q", q)),
         label="counted",
     )
 
@@ -725,6 +735,42 @@ class TestOneCallPerBlock:
         )
         got = integrate(scheme, problem, mesh).values
         assert got.tobytes() == oracle(scheme, problem, mesh).tobytes()
+
+
+class TestGateOrder:
+    """_affine_integrate tests a block's p before it calls q: a block that
+    fails |1 + D| <= 1, or whose Gauss stage system is singular, ends the
+    kernel's run after one p array call, with no q call."""
+
+    N = 2**13
+
+    @pytest.mark.parametrize("scheme", EXPLICIT_SCHEMES)
+    def test_expansive_block_makes_no_q_call(self, scheme):
+        """decay's p = -1/eps at h/eps = 16 on a uniform mesh, where every
+        explicit step is expansive."""
+        calls = []
+        problem = counted_linear_problem(calls, p=lambda x: -16.0 * self.N, q=lambda x: 0.0)
+        calls.clear()  # the spot-check of Problem's linear form
+        tableau = named_tableau(scheme)
+        assert steppers._affine_integrate(tableau, problem, build_uniform_mesh(self.N)) is None
+        assert calls == [("p", (tableau.stages * KERNEL_BLOCK,))]
+
+    def test_singular_gauss2_block_makes_no_q_call(self):
+        """p = (4/h)(1 - 2^-50) at the first stage abscissa of step 11 and 0
+        elsewhere: that step's stage system is singular (the scalar driver
+        raises there)."""
+        mesh = build_uniform_mesh(self.N)
+        i = 11
+        h = float(mesh.widths[i])
+        x1 = float(mesh.nodes[i]) + (0.5 - GAUSS2_GAMMA) * h
+        p_bad = 4.0 / h * (1.0 - 2.0**-50)
+        calls = []
+        problem = counted_linear_problem(calls, p=lambda x: np.where(x == x1, p_bad, 0.0))
+        calls.clear()
+        assert steppers._affine_integrate(named_tableau("gauss2"), problem, mesh) is None
+        assert calls == [("p", (2 * KERNEL_BLOCK,))]
+        with pytest.raises(SingularStepError, match=f"^step {i} failed: singular stage system"):
+            integrate("gauss2", problem, mesh)
 
 
 class TestScan:
