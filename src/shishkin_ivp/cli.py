@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import os
 import re
 import sys
 from typing import Iterable, Iterator
@@ -465,9 +466,16 @@ def process_main() -> int:
     """``main()`` as the entry point of ``python -m shishkin_ivp.cli`` and
     of the installed ``shishkin-ivp``: ``gc.freeze()`` first moves the
     ~21,000 objects alive after import into the permanent generation, so
-    no collection walks them again, interpreter shutdown's included."""
+    no collection walks them again, interpreter shutdown's included.  An
+    unwritable stdout is a usage error, as an unwritable ``--out`` is; fd 1
+    then goes to os.devnull, so the final flush cannot fail either."""
     gc.freeze()
-    return main()
+    try:
+        return main()
+    except OSError as exc:
+        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -102,11 +102,11 @@ def run_sweep(
     time, and tabulate errors with orders from consecutive refinements.
     Every cell's mesh and values are views of one set of arrays of 2^k_max
     + 1 doubles (mesh._array), valid until the next cell is built."""
+    epsilons = tuple(epsilons)
     if not epsilons:
         raise ValueError("epsilons must be nonempty")
     if not 2 <= k_min < k_max:
         raise ValueError(f"need 2 <= k_min < k_max, got {k_min}, {k_max}")
-    epsilons = tuple(epsilons)
     k_range = tuple(range(k_min, k_max + 1))
     errors: dict[tuple[float, int], float] = {}
     token = _SWEEP_ARRAYS.set(defaultdict(lambda: np.empty(2**k_max + 1)))

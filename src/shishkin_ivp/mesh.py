@@ -271,6 +271,12 @@ def inconsistent_widths(nodes: np.ndarray, widths: np.ndarray) -> list[int]:
     return np.flatnonzero(~(gap <= tolerance)).tolist()
 
 
+def _width_mismatch(mesh: Mesh, i: int) -> str:
+    """The report on inconsistent width ``i``, for validate_mesh and integrate."""
+    d = float(mesh.nodes[i + 1] - mesh.nodes[i])
+    return f"width {float(mesh.widths[i])!r} inconsistent with node difference {d!r} at index {i}"
+
+
 def validate_mesh(
     mesh: Mesh, x_start: float = 0.0, x_end: float = 1.0
 ) -> list[str]:
@@ -292,11 +298,7 @@ def validate_mesh(
         report.append(f"right endpoint is {float(nodes[-1])!r}, expected {x_end!r}")
     for i in np.nonzero(widths <= 0.0)[0]:
         report.append(f"nonpositive width at index {i}")
-    for i in inconsistent_widths(nodes, widths):
-        report.append(
-            f"width {float(widths[i])!r} inconsistent with node difference "
-            f"{float(diffs[i])!r} at index {i}"
-        )
+    report.extend(_width_mismatch(mesh, i) for i in inconsistent_widths(nodes, widths))
     total = abs(float(np.sum(widths)) - (nodes[-1] - nodes[0]))
     if total > width_tolerance(nodes):
         report.append(f"sum of widths deviates from node span by {total:.3e}")

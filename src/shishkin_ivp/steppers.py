@@ -30,7 +30,7 @@ from functools import partial
 
 import numpy as np
 
-from .mesh import Mesh, _array, inconsistent_widths
+from .mesh import Mesh, _array, _width_mismatch, inconsistent_widths
 from .problems import (
     EvaluationError,
     Problem,
@@ -530,11 +530,7 @@ def integrate(scheme: str, problem: Problem, mesh: Mesh) -> Trajectory:
         # (gauss2_linear_step accepts h = 0, which the rule does not).
         if _step_checks(problem, (), nodes[:-1], mesh.widths)[1] is not None:
             _scalar_integrate(tableau, problem, mesh)
-        i = mismatched[0]
-        raise ValueError(
-            f"mesh width {float(mesh.widths[i])!r} inconsistent with node "
-            f"difference {float(nodes[i + 1] - nodes[i])!r} at index {i}"
-        )
+        raise ValueError("mesh " + _width_mismatch(mesh, mismatched[0]))
     values = None
     if problem.linear is not None and len(mesh.widths) >= KERNEL_MIN_INTERVALS:
         values = _affine_integrate(tableau, problem, mesh)

@@ -16,19 +16,6 @@ TABLEAU_TOL = 1e-15
 #: Gauss-Legendre two-stage node offset.
 GAUSS2_GAMMA = math.sqrt(3.0) / 6.0
 
-EXPLICIT_SCHEMES = ("heun", "rk2_ralston", "rk2_midpoint", "rk3_a", "rk3_kutta")
-SCHEME_NAMES = EXPLICIT_SCHEMES + ("gauss2",)
-
-#: Classical order each named scheme is expected to satisfy.
-NOMINAL_ORDER = {
-    "heun": 2,
-    "rk2_ralston": 2,
-    "rk2_midpoint": 2,
-    "rk3_a": 3,
-    "rk3_kutta": 3,
-    "gauss2": 3,
-}
-
 
 @dataclass(frozen=True)
 class ButcherTableau:
@@ -81,27 +68,23 @@ def _explicit(name: str, a_rows: list[list[float]], b: list[float]) -> ButcherTa
     return ButcherTableau(stages=s, a=a, b=np.array(b), c=a.sum(axis=1), explicit=True, name=name)
 
 
-def _make_named() -> dict[str, ButcherTableau]:
-    g = GAUSS2_GAMMA
-    tableaux = [
-        _explicit("heun", [[], [1.0]], [0.5, 0.5]),
-        _explicit("rk2_ralston", [[], [2.0 / 3.0]], [0.25, 0.75]),
-        _explicit("rk2_midpoint", [[], [0.5]], [0.0, 1.0]),
-        _explicit("rk3_a", [[], [0.5], [0.0, 0.75]], [2.0 / 9.0, 3.0 / 9.0, 4.0 / 9.0]),
-        _explicit("rk3_kutta", [[], [0.5], [-1.0, 2.0]], [1.0 / 6.0, 4.0 / 6.0, 1.0 / 6.0]),
-        ButcherTableau(
-            stages=2,
-            a=np.array([[0.25, 0.25 - g], [0.25 + g, 0.25]]),
-            b=np.array([0.5, 0.5]),
-            c=np.array([0.5 - g, 0.5 + g]),
-            explicit=False,
-            name="gauss2",
-        ),
-    ]
-    return {tableau.name: tableau for tableau in tableaux}
-
-
-_NAMED = _make_named()
+#: The named schemes in roster order, with the classical order each must satisfy.
+_ROSTER = (
+    (2, _explicit("heun", [[], [1.0]], [0.5, 0.5])),
+    (2, _explicit("rk2_ralston", [[], [2.0 / 3.0]], [0.25, 0.75])),
+    (2, _explicit("rk2_midpoint", [[], [0.5]], [0.0, 1.0])),
+    (3, _explicit("rk3_a", [[], [0.5], [0.0, 0.75]], [2.0 / 9.0, 3.0 / 9.0, 4.0 / 9.0])),
+    (3, _explicit("rk3_kutta", [[], [0.5], [-1.0, 2.0]], [1.0 / 6.0, 4.0 / 6.0, 1.0 / 6.0])),
+    (3, ButcherTableau(
+        stages=2, a=np.array([[0.25, 0.25 - GAUSS2_GAMMA], [0.25 + GAUSS2_GAMMA, 0.25]]),
+        b=np.array([0.5, 0.5]), c=np.array([0.5 - GAUSS2_GAMMA, 0.5 + GAUSS2_GAMMA]),
+        explicit=False, name="gauss2",
+    )),
+)
+_NAMED = {tableau.name: tableau for _, tableau in _ROSTER}
+SCHEME_NAMES = tuple(_NAMED)
+EXPLICIT_SCHEMES = tuple(name for name, tableau in _NAMED.items() if tableau.explicit)
+NOMINAL_ORDER = {tableau.name: order for order, tableau in _ROSTER}
 
 
 def named_tableau(name: str) -> ButcherTableau:

@@ -456,6 +456,14 @@ class TestStreamedOutput:
         assert out.getvalue() == self.expected(command).decode()
 
 
+def _child_env():
+    """The environment for a child process that imports this package's source."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 # Runs the CLI in a fresh process, as ``python -m shishkin_ivp.cli`` does
 # (``runpy``) or as a console script calling "module:function" does, and
 # reports the exit code and the collector's freeze count on stderr's last
@@ -506,17 +514,43 @@ class TestProcessEntry:
     def test_process_entry_freezes_and_prints_the_same(self, how, args, capsysbinary):
         expected_code = main(args)
         expected_out = capsysbinary.readouterr().out
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         target = "runpy" if how == "runpy" else self.script_target()
         proc = subprocess.run(
             [sys.executable, "-c", _ENTRY_RUNNER, target, *args],
-            capture_output=True, env=env,
+            capture_output=True, env=_child_env(),
         )
         code, frozen = map(int, proc.stderr.split(b"\n")[-2].split())
         assert (code, proc.stdout) == (expected_code, expected_out)
         assert frozen > 0
+
+
+class TestUnwritableStdout:
+    """A stdout that cannot be written is a usage error, as an unwritable
+    ``--out`` path is: exit 2 and one ``error:`` line on stderr, with no
+    traceback from the run or from the interpreter's final flush."""
+
+    @staticmethod
+    def spawn(args, stdout):
+        return subprocess.Popen([sys.executable, "-m", "shishkin_ivp.cli", *args],
+                                stdout=stdout, stderr=subprocess.PIPE, env=_child_env())
+
+    def test_closed_pipe(self):
+        proc = self.spawn(["solve", "--problem", "layer1", "--n-intervals", "131072",
+                           "--eps", "2^-8"], subprocess.PIPE)
+        assert proc.stdout.readline() == b"x,y_numeric,y_exact,abs_error\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), err) == (EXIT_USAGE, b"error: cannot write stdout: Broken pipe\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device(self):
+        with open("/dev/full", "wb") as full:
+            proc = self.spawn(["mesh", "--mesh", "uniform", "--n-intervals", "4"], full)
+        _, err = proc.communicate()
+        assert (proc.returncode, err) == (
+            EXIT_USAGE, b"error: cannot write stdout: No space left on device\n"
+        )
 
 
 @pytest.mark.parametrize("key", list(CLI_GOLDENS))

@@ -132,6 +132,14 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="nonempty"):
             run_sweep("heun", "layer1", [], 3, 5)
 
+    def test_numpy_epsilons(self):
+        """A numpy array of epsilons gives the list's table, and an empty
+        one the list's error, not numpy's ambiguous truth value."""
+        table = run_sweep("heun", "layer1", np.array([0.5, 0.25]), 4, 5)
+        assert table == run_sweep("heun", "layer1", [0.5, 0.25], 4, 5)
+        with pytest.raises(ValueError, match="epsilons must be nonempty"):
+            run_sweep("heun", "layer1", np.array([]), 4, 5)
+
     def test_bad_k_range_rejected(self):
         with pytest.raises(ValueError, match="k_min"):
             run_sweep("heun", "layer1", [0.25], 5, 5)

@@ -13,6 +13,7 @@ from shishkin_ivp import (
     named_tableau,
     verify_order_conditions,
 )
+from shishkin_ivp.tableaux import EXPLICIT_SCHEMES
 
 TWO_STAGE = ("heun", "rk2_ralston", "rk2_midpoint")
 
@@ -68,6 +69,21 @@ class TestNamedTableaux:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown scheme"):
             named_tableau("rk4")
+
+
+    def test_roster(self):
+        """The schemes, their order, which are explicit and the classical
+        order each must satisfy."""
+        explicit = ("heun", "rk2_ralston", "rk2_midpoint", "rk3_a", "rk3_kutta")
+        assert SCHEME_NAMES == explicit + ("gauss2",)
+        assert EXPLICIT_SCHEMES == explicit
+        assert EXPLICIT_SCHEMES == tuple(
+            name for name in SCHEME_NAMES if named_tableau(name).explicit
+        )
+        assert list(NOMINAL_ORDER.items()) == [
+            ("heun", 2), ("rk2_ralston", 2), ("rk2_midpoint", 2),
+            ("rk3_a", 3), ("rk3_kutta", 3), ("gauss2", 3),
+        ]
 
 
 class TestInvariants:
