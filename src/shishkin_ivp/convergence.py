@@ -61,11 +61,11 @@ def max_error(trajectory: Trajectory, problem: Problem) -> float:
     solution, evaluated in blocks of nodes.  NaN gaps are skipped."""
     nodes, values = trajectory.mesh.nodes, trajectory.values
     worst = 0.0
-    for lo in range(0, len(nodes), KERNEL_BLOCK):
-        exact = exact_eval(problem, nodes[lo : lo + KERNEL_BLOCK])
-        with np.errstate(invalid="ignore"):
-            gap = np.abs(exact - values[lo : lo + KERNEL_BLOCK])
-        worst = max(worst, float(np.fmax.reduce(gap, initial=0.0)))
+    with np.errstate(invalid="ignore"):
+        for lo in range(0, len(nodes), KERNEL_BLOCK):
+            block = slice(lo, lo + KERNEL_BLOCK)
+            gap = np.subtract(exact_eval(problem, nodes[block]), values[block])
+            worst = max(worst, float(np.fmax.reduce(np.abs(gap, out=gap), initial=0.0)))
     return worst
 
 

@@ -259,11 +259,13 @@ def exact_eval(problem: Problem, x):
         with np.errstate(all="ignore"):
             return problem.exact(x)
     x = np.asarray(x, dtype=float)
+    if x.ndim > 1:
+        raise ValueError(f"exact_eval takes a float or a 1-d array, got shape {x.shape}")
     lo, hi = domain_bounds(problem)
     if len(x) and not (lo <= x.min() and x.max() <= hi):  # nan fails
         _check_domain(problem, x[np.argmin((lo <= x) & (x <= hi))])
     with np.errstate(all="ignore"):
         values = array_eval(problem.exact, x)
         if values is None:
-            values = np.fromiter(map(problem.exact, x.tolist()), float, len(x))
+            values = np.fromiter(map(problem.exact, memoryview(x)), float, len(x))
     return values

@@ -47,9 +47,9 @@ from .tableaux import GAUSS2_GAMMA, ButcherTableau, named_tableau
 #: Below this magnitude the Gauss-step denominator counts as singular.
 SINGULAR_DENOMINATOR_TOL = 1e-14
 
-#: Intervals per block of the affine-step kernel: enough to amortise the
-#: numpy calls, few enough to keep the block's temporaries small.
-KERNEL_BLOCK = 4096
+#: Intervals per block, each paying ~55 fixed numpy calls in the kernel. At
+#: 16384 a block's freed temporaries are trimmed and faulted back in (README).
+KERNEL_BLOCK = 8192
 
 #: Meshes with fewer intervals skip the kernel and run the scalar driver,
 #: whose whole run there costs less than the kernel's ~60 fixed numpy calls
@@ -180,7 +180,7 @@ def _step_checks(problem: Problem, c, x, h):
     one rule for every tableau, or None: h > 0, and x, x + h and every
     stage abscissa inside the domain (the checks of the step functions and
     rhs_eval, with h = 0 left to gauss2_linear_step).  It relies on
-    0 <= c_j <= 1, true of every named tableau (README.md)."""
+    0 <= c_j <= 1, true of every named tableau (README.md).  A nan fails."""
     lo, hi = domain_bounds(problem)
     stage_x = np.empty((len(c), len(x)))
     end = None
@@ -194,7 +194,7 @@ def _step_checks(problem: Problem, c, x, h):
             row += x
     if end is None:
         end = x + h
-    if h.min() > 0.0 and lo <= x.min() and end.max() <= hi:  # nan fails
+    if np.minimum.reduce(h) > 0.0 and lo <= np.minimum.reduce(x) and np.maximum.reduce(end) <= hi:
         return stage_x, None
     return stage_x, int(np.argmin((h > 0.0) & (lo <= x) & (end <= hi)))
 
@@ -294,7 +294,7 @@ def _scan(d, values):
     y = float(values[0])
     ends = []
     append = ends.append
-    for d_r, s_r in zip(row_d.tolist(), row_s.tolist()):
+    for d_r, s_r in zip(memoryview(row_d), memoryview(row_s)):
         y = y + (d_r * y + s_r)
         append(y)
     values[width::width] = ends
@@ -330,6 +330,7 @@ def _affine_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
     explicit = partial(_explicit_coefficients, tableau.a.tolist(), tableau.b.tolist())
     coefficients = explicit if tableau.explicit else _gauss2_coefficients
     p_fn, q_fn = problem.linear
+    minimum, maximum = partial(np.minimum.reduce, axis=None), partial(np.maximum.reduce, axis=None)
     a_max = b_max = 0.0
     with np.errstate(all="ignore"):
         for lo in range(0, n, KERNEL_BLOCK):
@@ -338,24 +339,24 @@ def _affine_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
             stage_x, failed = _step_checks(problem, tableau.c, nodes[lo:hi], h)
             ps = None if failed is not None else _on_stages(p_fn, stage_x)
             found = None if ps is None else coefficients(ps, h)
-            if found is None or not np.abs(1.0 + found[0]).max() <= 1.0:
+            # |1 + D| <= 1: 1 + D <= 1 iff D <= 2^-53 (ties to even), >= -1 iff D >= -2
+            if found is None or not (minimum(found[0]) >= -2.0 and maximum(found[0]) <= 2.0**-53):
                 return None
             d, forms, offsets = found
-            a_max = max(a_max, *(np.abs(form).max() for form in forms))
+            a_max = max(a_max, *(max(maximum(f), -minimum(f)) for f in forms))
             del found, forms  # the alpha forms, before q's stage values
             qs = _on_stages(q_fn, stage_x)
             if qs is None:
                 return None
             s, forms = offsets(qs)
-            b_max = max(b_max, *(np.abs(form).max() for form in forms))
+            b_max = max(b_max, *(max(maximum(f), -minimum(f)) for f in forms))
             del ps, qs, forms, offsets  # before the next block's arrays
             row, (full, tail) = lo // width, divmod(hi - lo, width)
             d_rows[:, row : row + full] = d[: full * width].reshape(full, width).T
             d_rows[:tail, -1] = d[full * width :]
             values[1 + lo : 1 + hi] = s
         _scan(d_rows, values)
-        y_max = max(values.max(), -values.min())
-        if not y_max * a_max + b_max <= KERNEL_HEADROOM:
+        if not max(maximum(values), -minimum(values)) * a_max + b_max <= KERNEL_HEADROOM:
             return None
     return values[: n + 1]
 
@@ -435,19 +436,16 @@ def _rows(tableau: ButcherTableau, problem: Problem, widths, stage_x):
     x_s), or (h, p1, q1, p2, q2) for gauss2, from one p and one q array call
     for a _trusted_linear pair, else (or if either raises or yields no
     array) from float calls as the rows are read, in gauss2_linear_step's order."""
-    if tableau.explicit:
-        return zip(widths.tolist(), *stage_x.tolist())
     p, q = problem.linear or (None, None)  # None: handed over at step 0
-    if _trusted_linear(problem):
+    if not tableau.explicit and _trusted_linear(problem):
         ps = _on_stages(p, stage_x)
         qs = None if ps is None else _on_stages(q, stage_x)
         if qs is not None:
-            (p1, p2), (q1, q2) = ps.tolist(), qs.tolist()
-            return zip(widths.tolist(), p1, q1, p2, q2)
-    return (
-        (h, float(p(x1)), float(q(x1)), float(p(x2)), float(q(x2)))
-        for h, x1, x2 in zip(widths.tolist(), *stage_x.tolist())
-    )
+            return zip(memoryview(widths), *map(memoryview, (ps[0], qs[0], ps[1], qs[1])))
+    rows = zip(memoryview(widths), *map(memoryview, stage_x))  # floats, read as needed
+    if tableau.explicit:
+        return rows
+    return ((h, float(p(x1)), float(q(x1)), float(p(x2)), float(q(x2))) for h, x1, x2 in rows)
 
 
 def _scalar_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):

@@ -46,7 +46,7 @@ from shishkin_ivp import (
     named_tableau,
     run_sweep,
 )
-from shishkin_ivp import steppers
+from shishkin_ivp import convergence, steppers
 from shishkin_ivp.problems import array_eval, domain_bounds
 from shishkin_ivp.steppers import (
     KERNEL_BLOCK,
@@ -130,6 +130,25 @@ def mesh_for(kind, n, eps):
     if kind == "shishkin":
         return build_shishkin_mesh(ShishkinParams(n_intervals=n, epsilon=eps))
     return build_uniform_mesh(n)
+
+
+def set_block(monkeypatch, size):
+    """KERNEL_BLOCK = size for integrate and for max_error, which imports
+    the name."""
+    for module in (steppers, convergence):
+        monkeypatch.setattr(module, "KERNEL_BLOCK", size)
+
+
+#: The block size that the tests using small_blocks run at: the values do
+#: not depend on it (TestBlockSize), and their meshes, which straddle a
+#: block edge, and the ids pytest gives them stay put when KERNEL_BLOCK
+#: moves.
+TEST_BLOCK = 4096
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    set_block(monkeypatch, TEST_BLOCK)
 
 
 @pytest.mark.parametrize("kind", ["shishkin", "uniform"])
@@ -242,6 +261,36 @@ def test_kernel_runs_from_the_minimum_mesh_size(scheme, monkeypatch):
 
 
 class TestGate:
+    #: D values at the edges of |1 + D| <= 1 in doubles: 1 + 2^-53 is a
+    #: tie that rounds to 1, its successor rounds up; 1 - 2 = -1 exactly.
+    GATE_EDGES = {
+        "2^-53": 2.0**-53,
+        "2^-53+": np.nextafter(2.0**-53, 1.0),
+        "-2": -2.0,
+        "-2-": np.nextafter(-2.0, -3.0),
+        "+0": 0.0,
+        "-0": -0.0,
+        "inf": math.inf,
+        "-inf": -math.inf,
+        "nan": math.nan,
+        "subnormal": 5e-324,
+    }
+
+    @pytest.mark.parametrize("name", sorted(GATE_EDGES))
+    def test_gate_is_the_abs_form(self, name, monkeypatch):
+        """The kernel's gate on a one-interval mesh whose D is the edge
+        value: it passes exactly where the double |1 + D| is at most 1."""
+        d = np.array([self.GATE_EDGES[name]])
+
+        def coefficients(ps, h):
+            return d.copy(), [ps], lambda qs: (np.zeros(len(h)), [qs])
+
+        monkeypatch.setattr(steppers, "_gauss2_coefficients", coefficients)
+        mesh = build_uniform_mesh(1)
+        passed = kernel_values("gauss2", make_builtin("decay", 1.0), mesh) is not None
+        assert passed == (np.abs(1.0 + d).max() <= 1.0)
+        assert passed == (name in ("2^-53", "-2", "+0", "-0", "subnormal"))
+
     def test_blowup_is_the_oracle_failure(self):
         """heun on a stiff uniform mesh: class and step as the oracle's."""
         problem = make_builtin("layer1", 2.0**-30)
@@ -690,6 +739,7 @@ class TestOneCallPerBlock:
     scalar gauss2 step calls this untrusted p and q on floats, twice each
     per step)."""
 
+    @pytest.mark.usefixtures("small_blocks")
     @pytest.mark.parametrize("scheme", SCHEME_NAMES)
     @pytest.mark.parametrize("n", [16, 64, 2**13])
     def test_call_counts(self, scheme, n):
@@ -705,7 +755,7 @@ class TestOneCallPerBlock:
             assert seen == ([("p", ()), ("q", ())] * 2 * n if scheme == "gauss2" else [])
             assert got.tobytes() == want.tobytes()
             return
-        blocks = [min(KERNEL_BLOCK, n - lo) for lo in range(0, n, KERNEL_BLOCK)]
+        blocks = [min(TEST_BLOCK, n - lo) for lo in range(0, n, TEST_BLOCK)]
         expected = []
         for m in blocks:
             expected += [("p", (stages * m,)), ("q", (stages * m,))]
@@ -861,23 +911,68 @@ class TestScan:
         first = integrate(scheme, problem, mesh).values
         assert first.tobytes() == integrate(scheme, problem, mesh).values.tobytes()
 
-    @pytest.mark.parametrize("n", [3001, KERNEL_BLOCK + 32, 5000])
+    @pytest.mark.usefixtures("small_blocks")
+    @pytest.mark.parametrize("n", [3001, TEST_BLOCK + 32, 5000])
     @pytest.mark.parametrize("scheme", SCHEME_NAMES)
     def test_ragged_and_straddling_uniform_meshes(self, scheme, n):
         """A last row shorter than C (3001 = 375*8 + 1), a mesh straddling
-        KERNEL_BLOCK in whole rows (4128 = 258*16), and both (5000)."""
-        assert (n % scan_width(n) != 0) == (n != KERNEL_BLOCK + 32)
+        TEST_BLOCK in whole rows (4128 = 258*16), and both (5000)."""
+        assert (n % scan_width(n) != 0) == (n != TEST_BLOCK + 32)
         problem = make_builtin("layer1", 2.0**-4)
         assert check_against_oracle(scheme, problem, build_uniform_mesh(n)) == "kernel"
 
-    @pytest.mark.parametrize("width", [2, 128, 512, KERNEL_BLOCK])
+    @pytest.mark.usefixtures("small_blocks")
+    @pytest.mark.parametrize("width", [2, 128, 512, TEST_BLOCK])
     @pytest.mark.parametrize("scheme", ["heun", "rk3_a", "gauss2"])
     def test_other_widths(self, scheme, width, monkeypatch):
         """Widths the rule picks only on larger meshes (or never), on a
-        ragged mesh straddling KERNEL_BLOCK: down to two rows."""
+        ragged mesh straddling TEST_BLOCK: down to two rows."""
         monkeypatch.setattr(steppers, "scan_width", lambda n: width)
         problem = make_builtin("layer1", 2.0**-4)
         assert check_against_oracle(scheme, problem, build_uniform_mesh(5000)) == "kernel"
+
+
+def logistic_with_exact(eps):
+    """logistic(eps) from 1/2, with its exact solution e/(1 + e), e =
+    exp(-x/eps), on floats only."""
+
+    def exact(x):
+        e = math.exp(-x / eps)
+        return e / (1.0 + e)
+
+    return dataclasses.replace(logistic(eps), exact=exact)
+
+
+class TestBlockSize:
+    """KERNEL_BLOCK is a performance parameter only: at 4096 and at 8192,
+    integrate's values and errors and max_error's results are the same,
+    byte for byte, on meshes on both sides of both block edges.  The
+    scan's rows do not move with it: scan_width(N) <= 512 < 4096."""
+
+    @staticmethod
+    def outcome(scheme, problem, mesh):
+        try:
+            trajectory = integrate(scheme, problem, mesh)
+        except (ValueError, ArithmeticError) as exc:
+            return type(exc), str(exc)
+        return trajectory.values.tobytes(), repr(max_error(trajectory, problem))
+
+    @pytest.mark.parametrize("kind", ["shishkin", "uniform"])
+    @pytest.mark.parametrize("name", ["decay", "layer1", "logistic"])
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    def test_values_do_not_depend_on_the_block(self, scheme, name, kind, monkeypatch):
+        """eps = 2^-20 makes the uniform meshes' explicit runs blow up;
+        gauss2 raises on the logistic problem, which has no linear form."""
+        for eps in (2.0**-6, 2.0**-20):
+            problem = logistic_with_exact(eps) if name == "logistic" else make_builtin(name, eps)
+            for n in (8190, 8194, 20000, 2**17):
+                assert scan_width(n) <= 512
+                mesh = mesh_for(kind, n, eps)
+                runs = []
+                for size in (4096, 8192):
+                    set_block(monkeypatch, size)
+                    runs.append(self.outcome(scheme, problem, mesh))
+                assert runs[0] == runs[1]
 
 
 def traced_peak(fn):
@@ -931,6 +1026,42 @@ class TestMemory:
         lone = traced_peak(cell)
         sweep = traced_peak(lambda: run_sweep("heun", "layer1", [self.EPS], 16, 17))
         assert sweep <= lone + 4096
+
+    @pytest.mark.parametrize("scheme", ["heun", "rk3_a"])
+    def test_scalar_driver_streams_its_rows(self, scheme):
+        """The scalar driver reads a block's widths and stage abscissae as
+        it steps: over its output it holds the block's arrays and results,
+        518 KiB (heun) and 710 KiB (rk3_a) at N = 2^16, where lists of
+        the block's doubles took 1,667 and 2,243 KiB."""
+        n = 2**16
+        problem, mesh = logistic(self.EPS), mesh_for("shishkin", n, self.EPS)
+        peak = traced_peak(lambda: integrate(scheme, problem, mesh))
+        assert peak - 8 * (n + 1) <= 96 * KERNEL_BLOCK
+
+    def test_non_contiguous_mesh_arrays(self):
+        """A mesh whose nodes and widths are strided views gives the bits
+        of its contiguous copy: on the scalar driver, with the explicit
+        rows, a trusted gauss2 pair's rows and float-call rows, on the
+        kernel, and through exact_eval's pointwise path."""
+        base = mesh_for("shishkin", KERNEL_BLOCK + 40, self.EPS)
+        nodes, widths = (np.repeat(array, 2)[::2] for array in (base.nodes, base.widths))
+        strided = Mesh(nodes=nodes, widths=widths, kind="hand-built")
+        assert not strided.nodes.flags.contiguous and not strided.widths.flags.contiguous
+        layer1 = make_builtin("layer1", self.EPS)
+        scalar_runs = [
+            ("heun", logistic(self.EPS)),
+            ("rk3_a", logistic(self.EPS)),
+            ("gauss2", layer1),
+            ("gauss2", scalar_only_builtin("layer1", self.EPS)),
+        ]
+
+        def bits(mesh):
+            got = [steppers._scalar_integrate(named_tableau(s), p, mesh) for s, p in scalar_runs]
+            got.append(integrate("heun", layer1, mesh).values)
+            got.append(exact_eval(logistic_with_exact(self.EPS), mesh.nodes))
+            return [array.tobytes() for array in got]
+
+        assert bits(strided) == bits(base)
 
 
 class TestMaxError:
@@ -1111,9 +1242,9 @@ def trusted_calls(problem, mesh, oracle_calls, arrays):
     stage_x = nodes + np.outer(named_tableau("gauss2").c, widths)
     lo_x, hi_x = domain_bounds(problem)
     checked = (widths > 0.0) & (lo_x <= nodes) & (nodes + widths <= hi_x)
-    handed = []
-    for lo in range(0, len(widths), KERNEL_BLOCK):
-        hi = min(lo + KERNEL_BLOCK, len(widths))
+    handed, block = [], steppers.KERNEL_BLOCK  # small_blocks may have set it
+    for lo in range(0, len(widths), block):
+        hi = min(lo + block, len(widths))
         stop = lo + int(np.argmin(checked[lo:hi])) if not checked[lo:hi].all() else hi
         points = stage_x[:, lo:stop].reshape(-1).tobytes()
         tag, x, gives_array = arrays.pop(0)
@@ -1202,12 +1333,11 @@ class TestScalarDriver:
     @pytest.mark.parametrize("kind", ["shishkin", "uniform"])
     @pytest.mark.parametrize("scheme", EXPLICIT_SCHEMES)
     def test_logistic_matrix(self, scheme, kind):
-        """N = 2^13 spans two kernel blocks; eps = 2^-20 on the uniform
-        mesh blows up."""
-        assert 2**13 > KERNEL_BLOCK
+        """N = 2 * KERNEL_BLOCK spans two kernel blocks; eps = 2^-20 on the
+        uniform mesh blows up."""
         outcomes = set()
         for eps in (1.0, 2.0**-4, 2.0**-8, 2.0**-20):
-            for n in (2**4, 2**9, 2**13):
+            for n in (2**4, 2**9, 2 * KERNEL_BLOCK):
                 outcomes.add(check_bit_identical(scheme, logistic(eps), mesh_for(kind, n, eps)))
         assert "identical" in outcomes
 
@@ -1262,13 +1392,14 @@ class TestScalarDriver:
         assert [math.copysign(1.0, y) for y in calls[1:]].count(-1.0) == 1
         assert check_bit_identical(scheme, problem, build_uniform_mesh(8)) == "identical"
 
+    @pytest.mark.usefixtures("small_blocks")
     @pytest.mark.parametrize("scheme", EXPLICIT_SCHEMES)
     def test_negative_zero_run_across_a_block_boundary(self, scheme):
         """rhs = -1e-320 from y = -0.0: h*update underflows to -0.0 at every
         step, so y stays -0.0 and every step is handed over, in both
         blocks."""
         problem = custom(lambda x, y: -1e-320, y0=-0.0)
-        mesh = build_uniform_mesh(KERNEL_BLOCK + 8)
+        mesh = build_uniform_mesh(TEST_BLOCK + 8)
         assert check_bit_identical(scheme, problem, mesh) == "identical"
         values = integrate(scheme, problem, mesh).values
         assert not values.any() and np.signbit(values).all()
@@ -1292,13 +1423,14 @@ class TestScalarDriver:
         ],
         ids=["nan", "inf", "overflow"],
     )
+    @pytest.mark.usefixtures("small_blocks")
     @pytest.mark.parametrize("scheme", EXPLICIT_SCHEMES)
     def test_failing_rhs_at_a_chosen_step(self, scheme, bad):
         """rhs fails from the second stage of step 5 on (in the second
         kernel block): StageEvaluationError, with the oracle's message."""
-        mesh = build_uniform_mesh(KERNEL_BLOCK + 16)
+        mesh = build_uniform_mesh(TEST_BLOCK + 16)
         c2 = named_tableau(scheme).c[1]
-        i = KERNEL_BLOCK + 5
+        i = TEST_BLOCK + 5
         x_bad = mesh.nodes[i] + c2 * mesh.widths[i]
         problem = custom(lambda x, y: bad() if x >= x_bad else -y)
         assert check_bit_identical(scheme, problem, mesh) == "raised"
@@ -1341,28 +1473,30 @@ class TestScalarDriver:
         assert check_bit_identical("heun", problem, build_uniform_mesh(2)) == "raised"
 
 
+    @pytest.mark.usefixtures("small_blocks")
     @pytest.mark.parametrize("kind", ["shishkin", "uniform"])
     @pytest.mark.parametrize("name", ["decay", "layer1"])
     def test_gauss2_scalar_only_builtins_across_a_block_boundary(self, name, kind):
-        """Scalar-only p and q keep the kernel out, so KERNEL_BLOCK + 8
+        """Scalar-only p and q keep the kernel out, so TEST_BLOCK + 8
         intervals run the driver across a block boundary: values, p and q
         arguments and errors are the oracle's from eps = 1 to 2^-1074
         (where the mesh can be built; p = -1/eps overflows below ~2^-1023)."""
         outcomes = {}
         for eps in (1.0, 2.0**-4, 2.0**-12, 2.0**-40, 2.0**-1000, 2.0**-1074):
             try:
-                mesh = mesh_for(kind, KERNEL_BLOCK + 8, eps)
+                mesh = mesh_for(kind, TEST_BLOCK + 8, eps)
             except ValueError:  # the Shishkin nodes would repeat
                 continue
             outcomes[eps] = check_bit_identical("gauss2", scalar_only_builtin(name, eps), mesh)
         assert outcomes[1.0] == outcomes[2.0**-40] == "identical"
 
-    @pytest.mark.parametrize("zero_at", [20, 100, KERNEL_BLOCK + 3])
+    @pytest.mark.usefixtures("small_blocks")
+    @pytest.mark.parametrize("zero_at", [20, 100, TEST_BLOCK + 3])
     def test_gauss2_zero_width_interval(self, zero_at):
         """gauss2_linear_step accepts h = 0, which fails the block checks:
         it takes that interval and the rest of its block, and a later
         block runs straight-line again."""
-        base = build_uniform_mesh(KERNEL_BLOCK + 8)
+        base = build_uniform_mesh(TEST_BLOCK + 8)
         nodes = np.insert(base.nodes, zero_at, base.nodes[zero_at])
         widths = np.insert(base.widths, zero_at, 0.0)
         mesh = Mesh(nodes=nodes, widths=widths, kind="hand-built")
@@ -1371,7 +1505,8 @@ class TestScalarDriver:
         values = integrate("gauss2", problem, mesh).values
         assert values[zero_at + 1] == values[zero_at]
 
-    @pytest.mark.parametrize("n", [40, KERNEL_BLOCK + 16])
+    @pytest.mark.usefixtures("small_blocks")
+    @pytest.mark.parametrize("n", [40, TEST_BLOCK + 16])
     def test_gauss2_singular_stage_system_at_a_chosen_step(self, n):
         """p = (4/h)(1 - 2^-50) at the first stage abscissa of one step and
         0 elsewhere makes that step's determinant tiny but not zero, so
@@ -1392,7 +1527,8 @@ class TestScalarDriver:
         [lambda: math.nan, lambda: math.inf, lambda: np.float64(1e300) * np.float64(1e300)],
         ids=["nan", "inf", "numpy-overflow"],
     )
-    @pytest.mark.parametrize("n", [40, KERNEL_BLOCK + 16])
+    @pytest.mark.usefixtures("small_blocks")
+    @pytest.mark.parametrize("n", [40, TEST_BLOCK + 16])
     def test_gauss2_non_finite_result(self, n, bad):
         """q turns non-finite from step n - 11 on: StageEvaluationError,
         with the oracle's message."""
@@ -1404,7 +1540,8 @@ class TestScalarDriver:
         with pytest.raises(StageEvaluationError, match=f"^step {i} failed: non-finite Gauss"):
             integrate("gauss2", problem, mesh)
 
-    @pytest.mark.parametrize("n", [40, KERNEL_BLOCK + 16])
+    @pytest.mark.usefixtures("small_blocks")
+    @pytest.mark.parametrize("n", [40, TEST_BLOCK + 16])
     def test_gauss2_raising_p_at_a_chosen_step(self, n):
         """An exception from p propagates unchanged, class and message."""
         mesh = build_uniform_mesh(n)
@@ -1421,7 +1558,8 @@ class TestScalarDriver:
             integrate("gauss2", problem, mesh)
 
     @pytest.mark.parametrize("p_value", [0.0, -1.0])
-    @pytest.mark.parametrize("n", [8, KERNEL_BLOCK + 8])
+    @pytest.mark.usefixtures("small_blocks")
+    @pytest.mark.parametrize("n", [8, TEST_BLOCK + 8])
     def test_gauss2_negative_zero_start(self, n, p_value):
         """From y0 = -0.0 with q = -0.0: p = 0 keeps every value -0.0 and
         p = -1 turns the first step's result into +0.0, as in the oracle."""
@@ -1432,7 +1570,8 @@ class TestScalarDriver:
         assert not values.any()
         assert np.signbit(values).tolist() == [True] + [p_value == 0.0] * n
 
-    @pytest.mark.parametrize("n", [8, KERNEL_BLOCK + 8])
+    @pytest.mark.usefixtures("small_blocks")
+    @pytest.mark.parametrize("n", [8, TEST_BLOCK + 8])
     def test_gauss2_without_a_linear_form(self, n):
         """gauss2 on a problem with no linear form raises the step
         function's ValueError at step 0."""
@@ -1446,26 +1585,28 @@ class TestScalarDriver:
             integrate("gauss2", problem, build_uniform_mesh(n))
         assert str(raised.value) == message
 
-    @pytest.mark.parametrize("zero_at", [20, KERNEL_BLOCK + 3])
+    @pytest.mark.usefixtures("small_blocks")
+    @pytest.mark.parametrize("zero_at", [20, TEST_BLOCK + 3])
     def test_gauss2_trusted_builtin_with_a_zero_width_interval(self, zero_at):
         """make_builtin's trusted pair on a mesh with h = 0 at one interval:
         p and q are called on arrays up to that interval, the step function
         takes it and the rest of its block on floats, and the other block
         runs from arrays again."""
-        base = build_uniform_mesh(KERNEL_BLOCK + 8)
+        base = build_uniform_mesh(TEST_BLOCK + 8)
         nodes = np.insert(base.nodes, zero_at, base.nodes[zero_at])
         widths = np.insert(base.widths, zero_at, 0.0)
         mesh = Mesh(nodes=nodes, widths=widths, kind="hand-built")
         assert check_bit_identical("gauss2", make_builtin("layer1", 2.0**-4), mesh) == "identical"
 
+    @pytest.mark.usefixtures("small_blocks")
     @pytest.mark.parametrize("failure", [None, "nan q", "raising p"])
     @pytest.mark.parametrize(
         "n, array_call",
         [
             (40, "raises"),
             (40, "wrong shape"),
-            (KERNEL_BLOCK + 16, "raises"),
-            (KERNEL_BLOCK + 16, "wrong shape"),
+            (TEST_BLOCK + 16, "raises"),
+            (TEST_BLOCK + 16, "wrong shape"),
         ],
     )
     def test_gauss2_trusted_pair_whose_array_call_fails(self, n, array_call, failure):

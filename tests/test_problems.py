@@ -533,6 +533,27 @@ class TestExactEval:
             exact_eval(make_builtin("decay", 1.0), x)
         assert str(raised.value) == f"x = {shown} outside problem domain [0.0, 1.0]"
 
+    @pytest.mark.parametrize(
+        "exact, x",
+        [
+            ("builtin", [[0.1, 2.0], [0.3, 0.4]]),
+            ("builtin", [[0.1, 0.2], [0.3, 0.4], [0.5, 2.0]]),  # out of domain last
+            ("scalar-only", [[0.1, 0.2], [0.3, 0.4]]),
+        ],
+        ids=["out-of-domain", "out-of-domain-last", "scalar-only"],
+    )
+    def test_more_than_one_dimension_is_rejected(self, exact, x):
+        """An array of more than one dimension is a ValueError naming its
+        shape, whether or not a node lies outside the domain and whether
+        or not exact takes arrays."""
+        problem = make_builtin("layer1", 0.25)
+        if exact == "scalar-only":
+            problem = dataclasses.replace(problem, exact=lambda x: 1.0 - math.exp(-x))
+        x = np.array(x)
+        with pytest.raises(ValueError) as raised:
+            exact_eval(problem, x)
+        assert str(raised.value) == f"exact_eval takes a float or a 1-d array, got shape {x.shape}"
+
     def test_domain_slack_and_empty_array_pass(self):
         problem = make_builtin("layer1", 0.5)
         assert math.isfinite(exact_eval(problem, 1 + 1e-12))
