@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import _check_epsilon
+from .problems import _check_epsilon, _unchecked
 
 #: Saturation cap of the transition point: the layer piece never covers
 #: more than half of the domain.
@@ -31,6 +31,10 @@ WIDTH_CONSISTENCY_ATOL = 1e-12
 #: While run_sweep runs: its cells' large arrays (``_array``), by slot, each
 #: made when first asked for, at the size of the sweep's largest cell.
 _SWEEP_ARRAYS: ContextVar[dict | None] = ContextVar("sweep_arrays", default=None)
+
+#: The float index 0..8191 (read-only), from which _array writes a sweep's.
+_INDEX_CHUNK = np.arange(8192, dtype=float)
+_INDEX_CHUNK.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -108,9 +112,9 @@ class Mesh:
 
 
 def _built(nodes, widths, kind: str, sigma: float | None) -> Mesh:
-    mesh = Mesh(nodes=nodes, widths=widths, kind=kind, sigma=sigma)
-    object.__setattr__(mesh, "_widths_match_nodes", True)
-    return mesh
+    nodes.setflags(write=False)  # the builders' 1-d float64 arrays: Mesh keeps them as they are
+    widths.setflags(write=False)
+    return _unchecked(Mesh, nodes=nodes, widths=widths, kind=kind, sigma=sigma, _widths_match_nodes=True)
 
 
 def _array(slot: str, size: int, index: bool = False) -> np.ndarray:
@@ -120,10 +124,10 @@ def _array(slot: str, size: int, index: bool = False) -> np.ndarray:
     if arrays is None or size > len(arrays[slot]):
         return np.arange(size, dtype=float) if index else np.empty(size)
     out = arrays[slot][:size]
-    if index:  # exact, and in place, where np.arange makes a new array
-        out.fill(1.0)
-        out[0] = 0.0
-        np.cumsum(out, out=out)
+    if index:  # np.arange's doubles in place: chunk + start is exact
+        step = len(_INDEX_CHUNK)
+        for lo in range(0, size, step):
+            np.add(_INDEX_CHUNK[: size - lo], lo, out=out[lo : lo + step])
     return out
 
 
@@ -204,7 +208,7 @@ def build_from_sigma(n_intervals: int, alpha: float, sigma: float) -> Mesh:
     # Within a piece the nodes are rounded multiples of one positive width,
     # so they can only repeat if that width is zero or at the three pinned
     # nodes (sigma, its right neighbour, and 1).
-    if not (h_fine > 0.0 and nodes[m - 1] < nodes[m] < nodes[m + 1] and nodes[-2] < nodes[-1]):
+    if not (h_fine > 0.0 and nodes.item(m - 1) < sigma < nodes.item(m + 1) and nodes.item(-2) < 1.0):
         raise ValueError(
             f"sigma = {sigma!r} is too small for {m} fine intervals: "
             "the mesh nodes would repeat"
@@ -217,9 +221,7 @@ def build_from_sigma(n_intervals: int, alpha: float, sigma: float) -> Mesh:
 
 def build_shishkin_mesh(params: ShishkinParams) -> Mesh:
     """Shishkin mesh on [0, 1] for the given parameters."""
-    return build_from_sigma(
-        params.n_intervals, params.split, transition_point(params)
-    )
+    return build_from_sigma(params.n_intervals, params.split, transition_point(params))
 
 
 def build_uniform_mesh(

@@ -100,6 +100,13 @@ def _trusted_linear(problem: Problem) -> bool:
     return linear is not None and linear is getattr(problem.rhs, "_linear_form", None)
 
 
+def _unchecked(cls, **attributes):
+    """A frozen dataclass made without __init__, from values it would keep as they are."""
+    instance = object.__new__(cls)
+    instance.__dict__.update(attributes)
+    return instance
+
+
 def _check_epsilon(epsilon: float):
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
@@ -143,10 +150,10 @@ def make_builtin(name: str, epsilon: float) -> Problem:
     every float x but NaN, and run their later passes in place on the
     fresh array they return.  ``rhs`` carries its linear form, the promise
     that the pair agrees with it and gives the same doubles on floats and
-    on arrays (tests/test_problems.py), so ``Problem`` skips its spot check
-    for that pair (at eps near 2^-1074 both sides would read nan there) and
-    the scalar Gauss step calls p and q once per block.
-    """
+    on arrays (tests/test_problems.py), so the scalar Gauss step calls p
+    and q once per block.  ``Problem``'s checks hold by construction (its
+    spot check would read nan on both sides at eps near 2^-1074; exact(0)
+    is y0 at every eps): the problem is made without them."""
     if name not in BUILTIN_NAMES:
         raise ValueError(f"unknown builtin problem {name!r}; known: {BUILTIN_NAMES}")
     _check_epsilon(epsilon)
@@ -196,9 +203,8 @@ def make_builtin(name: str, epsilon: float) -> Problem:
 
         y0 = 0.0
     rhs._linear_form = linear = (p, q)
-    return Problem(
-        epsilon=epsilon, x0=0.0, y0=y0, rhs=rhs, linear=linear, exact=exact, label=name
-    )
+    return _unchecked(Problem, epsilon=epsilon, x0=0.0, y0=y0, rhs=rhs, domain_end=1.0, linear=linear,
+                      exact=exact, label=name, _bounds=(-DOMAIN_TOL, 1.0 + DOMAIN_TOL))
 
 
 def rhs_eval(problem: Problem, x: float, y: float) -> float:
@@ -225,15 +231,12 @@ def linear_coeffs_eval(problem: Problem, x: float) -> tuple[float, float]:
 
 def array_eval(fn: Callable, x: np.ndarray) -> np.ndarray | None:
     """``fn`` on the whole array ``x``, as float64 of its shape (a float64
-    result of that shape as it is: maybe ``x``, never to be written; a
-    scalar or other broadcastable result filled into a new array); None if
-    ``fn`` raises on the array (any Exception) or gives an unbroadcastable
-    shape, so that float calls, as in the step functions, decide the result.
-
-    The kernel passes one 1-d array of all stage abscissae of a block, so
-    ``fn`` must work elementwise.  The result is not copied, so ``fn``
-    must return a fresh array on each call: callers keep results from
-    several calls side by side."""
+    result of that shape as it is, not copied: maybe ``x``, never to be
+    written; a scalar or other broadcastable result filled into a new
+    array); None if ``fn`` raises on the array (any Exception) or gives an
+    unbroadcastable shape, so that float calls, as in the step functions,
+    decide the result.  ``fn`` must work elementwise and return a fresh
+    array per call (see Problem)."""
     try:
         value = np.asarray(fn(x), dtype=float)
         if value.shape == x.shape:
@@ -248,10 +251,8 @@ def array_eval(fn: Callable, x: np.ndarray) -> np.ndarray | None:
 
 
 def exact_eval(problem: Problem, x):
-    """Evaluate the attached exact solution at x, a float or a 1-d array.
-
-    Arrays are evaluated in one call when ``exact`` accepts them and point
-    by point, in order, otherwise."""
+    """Evaluate the attached exact solution at x, a float or a 1-d array:
+    arrays in one call when ``exact`` accepts them, else point by point, in order."""
     if problem.exact is None:
         raise ValueError(f"problem {problem.label!r} carries no exact solution")
     if np.ndim(x) == 0:
@@ -261,11 +262,16 @@ def exact_eval(problem: Problem, x):
     x = np.asarray(x, dtype=float)
     if x.ndim > 1:
         raise ValueError(f"exact_eval takes a float or a 1-d array, got shape {x.shape}")
-    lo, hi = domain_bounds(problem)
-    if len(x) and not (lo <= x.min() and x.max() <= hi):  # nan fails
-        _check_domain(problem, x[np.argmin((lo <= x) & (x <= hi))])
     with np.errstate(all="ignore"):
-        values = array_eval(problem.exact, x)
-        if values is None:
-            values = np.fromiter(map(problem.exact, memoryview(x)), float, len(x))
+        return _exact_values(problem, x)
+
+
+def _exact_values(problem: Problem, x: np.ndarray) -> np.ndarray:
+    """exact_eval's array path, on a 1-d float64 array, under the caller's np.errstate."""
+    lo, hi = problem._bounds
+    if len(x) and not (lo <= np.minimum.reduce(x) and np.maximum.reduce(x) <= hi):  # nan fails
+        _check_domain(problem, x[np.argmin((lo <= x) & (x <= hi))])
+    values = array_eval(problem.exact, x)
+    if values is None:
+        values = np.fromiter(map(problem.exact, memoryview(x)), float, len(x))
     return values

@@ -1,25 +1,15 @@
 """Single Runge-Kutta steps and whole-mesh integration.
 
-Two step functions are provided: a generic one for any explicit tableau,
-and the closed-form two-stage Gauss step for problems with a linear
-right-hand side (the implicit stage system is solved symbolically, so no
-iteration is needed).  Nonlinear implicit stepping is out of scope.
-
-On a linear problem y' = p(x)*y + q(x) every step of every tableau is
-affine in y, y_{i+1} = y_i + (D_i*y_i + S_i): the variable-coefficient
-form of R(z) = 1 + z b^T (I - zA)^{-1} 1 (Hairer & Wanner, Solving ODEs II,
-sec. IV.3).  ``integrate`` computes D and S with numpy, a block at a time
-and without the generic substitution's no-op work, and runs the
-recurrence as a two-level scan (rows of C = ``scan_width(N)`` intervals)
-on meshes of at least KERNEL_MIN_INTERVALS intervals, whenever it can
-show that the scalar driver would give the same values up to rounding;
-otherwise the scalar driver, the oracle, runs the mesh.
-
-The scalar driver, one for all six tableaux, is the step functions'
-arithmetic with their checks hoisted out of the loop: numpy checks each
-block of intervals, the steps run straight-line, and any step the driver
-cannot vouch for is handed to the step function itself, so the values,
-and every error, are the per-step function's bit for bit.
+The step functions: a generic one for any explicit tableau, and the
+closed-form two-stage Gauss step for a linear right-hand side (nonlinear
+implicit stepping is out of scope).  ``integrate`` runs a linear problem
+through the affine-step kernel, y_{i+1} = y_i + (D_i*y_i + S_i) (the
+variable-coefficient form of R(z); Hairer & Wanner, Solving ODEs II, sec.
+IV.3) with D and S from numpy a block at a time and a two-level scan,
+whenever it can show that the scalar driver would give the same values up
+to rounding; else the scalar driver, the step functions' arithmetic with
+their checks hoisted out of the loop, runs the mesh with their values and
+errors bit for bit (README: "Linear problems: the affine-step kernel").
 """
 
 from __future__ import annotations
@@ -36,6 +26,7 @@ from .problems import (
     Problem,
     _check_domain,
     _trusted_linear,
+    _unchecked,
     array_eval,
     domain_bounds,
     domain_slack,
@@ -100,7 +91,7 @@ def explicit_rk_step(
     if not h_i > 0.0:
         raise ValueError(f"step size must be positive, got {h_i}")
     _check_domain(problem, x_i, h_i)
-    a, b, c = tableau.a.tolist(), tableau.b.tolist(), tableau.c.tolist()
+    a, b, c = tableau._lists
     k = [0.0] * tableau.stages
     for j in range(tableau.stages):
         acc = 0.0
@@ -184,7 +175,8 @@ def _step_checks(problem: Problem, c, x, h):
     lo, hi = domain_bounds(problem)
     stage_x = np.empty((len(c), len(x)))
     end = None
-    for row, c_j in zip(stage_x, c):
+    for j, c_j in enumerate(c):
+        row = stage_x[j]
         if c_j == 0.0:
             np.add(x, c_j, out=row)
         elif c_j == 1.0:
@@ -307,18 +299,13 @@ def _scan(d, values):
 
 def _affine_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
     """Node values from the affine-step kernel, or None when a block fails
-    the gate that integrate documents, whose every clause is tested here.
-
-    Per block of intervals that pass _step_checks: one p call on its stage
-    abscissae, the coefficient function's D of the step y + (D*y + S) and
-    alpha forms, |1 + D| <= 1, a_max; then one q call, offsets' S and beta
-    forms, b_max (the largest |alpha| and |beta| of the affine forms
-    alpha*y + beta of the intermediates the scalar step computes from y).
-    D goes into the scan's rows, S into its interval's result slot (see
-    _scan; zeroed padding steps are identities), so the call holds its
-    output, one 8N-byte D grid (a sweep's own: mesh._array) and
-    KERNEL_BLOCK-sized temporaries; one headroom test follows the scan.
-    """
+    the gate that integrate documents, whose every clause is tested here:
+    per block that passes _step_checks, one p call, D and the alpha forms,
+    |1 + D| <= 1, a_max; one q call, S and the beta forms, b_max (a_max and
+    b_max bound the affine forms alpha*y + beta of the scalar step's
+    intermediates).  D goes into the scan's rows and S into its interval's
+    result slot (see _scan), beside one 8N-byte D grid (mesh._array) and
+    KERNEL_BLOCK-sized temporaries; one headroom test follows the scan."""
     nodes, widths = mesh.nodes, mesh.widths
     n = len(widths)
     width = scan_width(n)
@@ -327,29 +314,29 @@ def _affine_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
     values = _array("values", 1 + width * rows)
     d_rows[:, -1] = values[n + 1 :] = 0.0  # padding steps: the headroom test reads them
     values[0] = float(problem.y0)
-    explicit = partial(_explicit_coefficients, tableau.a.tolist(), tableau.b.tolist())
-    coefficients = explicit if tableau.explicit else _gauss2_coefficients
+    a, b, c = tableau._lists
+    coefficients = partial(_explicit_coefficients, a, b) if tableau.explicit else _gauss2_coefficients
     p_fn, q_fn = problem.linear
-    minimum, maximum = partial(np.minimum.reduce, axis=None), partial(np.maximum.reduce, axis=None)
+    minimum, maximum = np.minimum.reduce, np.maximum.reduce  # axis None: every element
     a_max = b_max = 0.0
     with np.errstate(all="ignore"):
         for lo in range(0, n, KERNEL_BLOCK):
             hi = min(lo + KERNEL_BLOCK, n)
             h = widths[lo:hi]
-            stage_x, failed = _step_checks(problem, tableau.c, nodes[lo:hi], h)
+            stage_x, failed = _step_checks(problem, c, nodes[lo:hi], h)
             ps = None if failed is not None else _on_stages(p_fn, stage_x)
             found = None if ps is None else coefficients(ps, h)
             # |1 + D| <= 1: 1 + D <= 1 iff D <= 2^-53 (ties to even), >= -1 iff D >= -2
             if found is None or not (minimum(found[0]) >= -2.0 and maximum(found[0]) <= 2.0**-53):
                 return None
             d, forms, offsets = found
-            a_max = max(a_max, *(max(maximum(f), -minimum(f)) for f in forms))
+            a_max = max(a_max, *(max(maximum(f, None), -minimum(f, None)) for f in forms))
             del found, forms  # the alpha forms, before q's stage values
             qs = _on_stages(q_fn, stage_x)
             if qs is None:
                 return None
             s, forms = offsets(qs)
-            b_max = max(b_max, *(max(maximum(f), -minimum(f)) for f in forms))
+            b_max = max(b_max, *(max(maximum(f, None), -minimum(f, None)) for f in forms))
             del ps, qs, forms, offsets  # before the next block's arrays
             row, (full, tail) = lo // width, divmod(hi - lo, width)
             d_rows[:, row : row + full] = d[: full * width].reshape(full, width).T
@@ -432,17 +419,20 @@ def _gauss2_steps(y, rows, out):
 
 
 def _rows(tableau: ButcherTableau, problem: Problem, widths, stage_x):
-    """Rows of the straight-line steps over checked intervals: (h, x_1, ...,
-    x_s), or (h, p1, q1, p2, q2) for gauss2, from one p and one q array call
-    for a _trusted_linear pair, else (or if either raises or yields no
-    array) from float calls as the rows are read, in gauss2_linear_step's order."""
+    """Rows of the straight-line steps over the first len(widths) intervals of
+    stage_x: (h, x_1, ..., x_s), or (h, p1, q1, p2, q2) for gauss2, from one p
+    and one q array call for a _trusted_linear pair, else (or if either raises
+    or yields no array) from float calls as rows are read, in gauss2_linear_step's order."""
     p, q = problem.linear or (None, None)  # None: handed over at step 0
+    n = len(widths)
     if not tableau.explicit and _trusted_linear(problem):
-        ps = _on_stages(p, stage_x)
-        qs = None if ps is None else _on_stages(q, stage_x)
+        checked = stage_x[:, :n].reshape(-1)
+        ps = array_eval(p, checked)
+        qs = None if ps is None else array_eval(q, checked)
         if qs is not None:
-            return zip(memoryview(widths), *map(memoryview, (ps[0], qs[0], ps[1], qs[1])))
-    rows = zip(memoryview(widths), *map(memoryview, stage_x))  # floats, read as needed
+            ps, qs = memoryview(ps), memoryview(qs)
+            return zip(memoryview(widths), ps[:n], qs[:n], ps[n:], qs[n:])
+    rows = zip(memoryview(widths), *[memoryview(stage_x[j]) for j in range(len(stage_x))])
     if tableau.explicit:
         return rows
     return ((h, float(p(x1)), float(q(x1)), float(p(x2)), float(q(x2))) for h, x1, x2 in rows)
@@ -450,16 +440,13 @@ def _rows(tableau: ButcherTableau, problem: Problem, widths, stage_x):
 
 def _scalar_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
     """Node values bit for bit those of one step function call per
-    interval: ``explicit_rk_step``, or ``gauss2_linear_step`` for gauss2.
-
-    Per block of intervals, numpy makes the step functions' checks
-    (_step_checks).  Up to the first failed one, steps run straight-line
-    from one row iterator; a step the loop stops at goes to the step
-    function, and the loop resumes after it (a failed interval raises
-    there, or, at h = 0 for gauss2, leaves the rest of its block to the
-    step function).  The named explicit tableaux have 2 or 3 stages.
-    """
-    a, b, c = tableau.a.tolist(), tableau.b.tolist(), tableau.c.tolist()
+    interval (``explicit_rk_step``, or ``gauss2_linear_step`` for gauss2):
+    per block, up to its first interval that fails _step_checks, steps run
+    straight-line from one row iterator; a step the loop stops at goes to
+    the step function, and the loop resumes after it (a failed interval
+    raises there, or, at h = 0 for gauss2, leaves the rest of its block to
+    the step function).  The named explicit tableaux have 2 or 3 stages."""
+    a, b, c = tableau._lists
     if tableau.explicit:
         steps = _two_stage_steps if tableau.stages == 2 else _three_stage_steps
         steps, step = partial(steps, problem.rhs, a, b), partial(explicit_rk_step, tableau)
@@ -474,7 +461,7 @@ def _scalar_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
             hi = min(lo + KERNEL_BLOCK, n)
             stage_x, failed = _step_checks(problem, c, nodes[lo:hi], widths[lo:hi])
             stop = hi if failed is None else lo + failed
-            rows = _rows(tableau, problem, widths[lo:stop], stage_x[:, : stop - lo])
+            rows = _rows(tableau, problem, widths[lo:stop], stage_x)
             block = []
             y = steps(y, rows, block)
             while (i := lo + len(block)) < hi:
@@ -516,7 +503,7 @@ def integrate(scheme: str, problem: Problem, mesh: Mesh) -> Trajectory:
     """
     nodes = mesh.nodes
     slack = domain_slack(problem)
-    if abs(nodes[0] - problem.x0) > slack or abs(nodes[-1] - problem.domain_end) > slack:
+    if abs(nodes.item(0) - problem.x0) > slack or abs(nodes.item(-1) - problem.domain_end) > slack:
         raise ValueError(
             f"mesh spans [{nodes[0]}, {nodes[-1]}] but problem domain is "
             f"[{problem.x0}, {problem.domain_end}]"
@@ -534,4 +521,5 @@ def integrate(scheme: str, problem: Problem, mesh: Mesh) -> Trajectory:
         values = _affine_integrate(tableau, problem, mesh)
     if values is None:
         values = _scalar_integrate(tableau, problem, mesh)
-    return Trajectory(mesh=mesh, values=values, scheme_id=scheme, problem_id=problem.problem_id)
+    values.setflags(write=False)  # integrate's own 1-d float64 array: Trajectory keeps it as it is
+    return _unchecked(Trajectory, mesh=mesh, values=values, scheme_id=scheme, problem_id=problem.problem_id)

@@ -47,6 +47,7 @@ class ButcherTableau:
         for name, arr in (("a", a), ("b", b), ("c", c)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_lists", (a.tolist(), b.tolist(), c.tolist()))  # for the steppers
         if check:
             if abs(float(np.sum(b)) - 1.0) > TABLEAU_TOL:
                 raise ValueError(f"weights must sum to 1, got {np.sum(b)!r}")

@@ -1,5 +1,6 @@
 """Tests for error measurement, order estimation and sweep tables."""
 
+import dataclasses
 import math
 import threading
 
@@ -8,11 +9,13 @@ import pytest
 from mpmath import mp, mpf
 
 from shishkin_ivp import (
+    Mesh,
     Problem,
     ShishkinParams,
     Trajectory,
     build_shishkin_mesh,
     build_uniform_mesh,
+    exact_eval,
     integrate,
     make_builtin,
     max_error,
@@ -28,6 +31,9 @@ from reference_tables import (
     REFERENCE_HEUN_ORDERS,
     SUSPECT_CELLS,
 )
+
+
+INDEX_CHUNK = len(mesh_module._INDEX_CHUNK)
 
 
 def trajectory_from_values(values, exact=None):
@@ -71,6 +77,60 @@ class TestMaxError:
         trajectory, problem = trajectory_from_values([0.0, 0.5])
         with pytest.raises(ValueError, match="no exact solution"):
             max_error(trajectory, problem)
+
+
+@pytest.mark.parametrize("n", [4, 16, 64, 128, 512])
+@pytest.mark.parametrize("scheme", SCHEME_NAMES)
+class TestSolveChecks:
+    """The checks around a small solve, for every scheme on the scalar
+    driver (N < 128) and the kernel: each fires with its class and
+    message, or gives the value it gave before it was trimmed."""
+
+    EPS = 2.0**-4
+
+    def solve(self, scheme, n):
+        problem = make_builtin("layer1", self.EPS)
+        mesh = build_shishkin_mesh(ShishkinParams(n_intervals=n, epsilon=self.EPS))
+        return problem, integrate(scheme, problem, mesh)
+
+    @pytest.mark.parametrize("interval", [(0.0, 2.0), (-0.5, 1.0), (0.0, 0.5)])
+    def test_mesh_off_the_domain(self, scheme, n, interval):
+        with pytest.raises(ValueError) as raised:
+            integrate(scheme, make_builtin("layer1", self.EPS), build_uniform_mesh(n, interval))
+        assert str(raised.value) == (
+            f"mesh spans [{interval[0]}, {interval[1]}] but problem domain is [0.0, 1.0]"
+        )
+
+    def test_node_outside_the_domain(self, scheme, n):
+        problem, trajectory = self.solve(scheme, n)
+        nodes = trajectory.mesh.nodes.copy()
+        nodes[n // 2] = 1.5
+        mesh = Mesh(nodes=nodes, widths=trajectory.mesh.widths, kind="hand-built")
+        moved = Trajectory(mesh=mesh, values=trajectory.values, scheme_id=scheme, problem_id="p")
+        with pytest.raises(ValueError) as raised:
+            max_error(moved, problem)
+        assert str(raised.value) == "x = 1.5 outside problem domain [0.0, 1.0]"
+
+    def test_scalar_only_exact_is_the_array_path(self, scheme, n):
+        problem, trajectory = self.solve(scheme, n)
+
+        def exact(x):
+            if isinstance(x, np.ndarray):
+                raise TypeError("floats only")
+            return problem.exact(x)
+
+        scalar_only = dataclasses.replace(problem, exact=exact)
+        nodes = trajectory.mesh.nodes
+        assert exact_eval(scalar_only, nodes).tobytes() == exact_eval(problem, nodes).tobytes()
+        assert max_error(trajectory, scalar_only) == max_error(trajectory, problem)
+
+    def test_nan_value_is_skipped(self, scheme, n):
+        problem, trajectory = self.solve(scheme, n)
+        values = trajectory.values.copy()
+        values[n // 2] = np.nan
+        gaps = np.abs(exact_eval(problem, trajectory.mesh.nodes) - values)
+        holed = Trajectory(mesh=trajectory.mesh, values=values, scheme_id=scheme, problem_id="p")
+        assert max_error(holed, problem) == np.nanmax(gaps) > 0.0
 
 
 class TestShishkinOrder:
@@ -301,6 +361,18 @@ class TestSweepArrays:
         assert len(found) == 3
         for array in found:
             assert not any(np.shares_memory(array, other) for other in swept)
+
+    @pytest.mark.parametrize("n", [1, 2, INDEX_CHUNK - 1, INDEX_CHUNK + 1, 2 * INDEX_CHUNK + 3])
+    def test_swept_index_is_arange(self, n):
+        """A sweep's float index, written chunk by chunk over nan, has
+        np.arange's doubles."""
+        token = mesh_module._SWEEP_ARRAYS.set({"nodes": np.full(3 * INDEX_CHUNK, np.nan)})
+        try:
+            index = mesh_module._array("nodes", n, index=True)
+            assert np.shares_memory(index, mesh_module._SWEEP_ARRAYS.get()["nodes"])
+        finally:
+            mesh_module._SWEEP_ARRAYS.reset(token)
+        assert index.tobytes() == np.arange(n, dtype=float).tobytes()
 
     @pytest.mark.parametrize("n", [1000, 5000, 2**12 + 3])
     @pytest.mark.parametrize("scheme", ["heun", "rk3_a", "gauss2"])
