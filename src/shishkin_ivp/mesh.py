@@ -32,10 +32,6 @@ WIDTH_CONSISTENCY_ATOL = 1e-12
 #: made when first asked for, at the size of the sweep's largest cell.
 _SWEEP_ARRAYS: ContextVar[dict | None] = ContextVar("sweep_arrays", default=None)
 
-#: The float index 0..8191 (read-only), from which _array writes a sweep's.
-_INDEX_CHUNK = np.arange(8192, dtype=float)
-_INDEX_CHUNK.setflags(write=False)
-
 
 @dataclass(frozen=True)
 class ShishkinParams:
@@ -124,10 +120,12 @@ def _array(slot: str, size: int, index: bool = False) -> np.ndarray:
     if arrays is None or size > len(arrays[slot]):
         return np.arange(size, dtype=float) if index else np.empty(size)
     out = arrays[slot][:size]
-    if index:  # np.arange's doubles in place: chunk + start is exact
-        step = len(_INDEX_CHUNK)
-        for lo in range(0, size, step):
-            np.add(_INDEX_CHUNK[: size - lo], lo, out=out[lo : lo + step])
+    if index:  # np.arange's doubles in place: head + k is exact
+        k = min(size, 1024)
+        out[:k] = np.arange(k)
+        while k < size:
+            np.add(out[: min(k, size - k)], k, out=out[k : 2 * k])
+            k *= 2
     return out
 
 

@@ -241,22 +241,13 @@ def _gauss2_coefficients(ps, h):
     return 0.5 * h * (alphas[0] + alphas[1]) / denom, alphas + [ps], offsets
 
 
-#: Meshes with fewer intervals run the step recurrence as a plain loop
-#: (row width 1): below it, the loop beat every wider row in a
-#: microbenchmark.
-SCAN_MIN_INTERVALS = 2**10
-
-
 def scan_width(n: int) -> int:
-    """Row width C of the two-level scan over n intervals: 1 below
-    SCAN_MIN_INTERVALS, else the largest power of two at most sqrt(n)/4
-    (8 at n = 2^10, 64 at n = 2^16 and 2^17), capped at KERNEL_BLOCK so
-    that every block starts a row.  That balances the scan's ~9C numpy
-    calls against its n/C scalar steps; a microbenchmark put the best C
-    at 8 (n = 2^10) to 64 (n = 2^17)."""
-    if n < SCAN_MIN_INTERVALS:
-        return 1
-    return min(1 << (n.bit_length() - 1) // 2 - 2, KERNEL_BLOCK)
+    """Row width C of the two-level scan over n intervals: the largest
+    power of two at most sqrt(n)/4, at least 1 (2 at n = 64, 4 at 256, 8
+    at 2^10, 64 at 2^16 and 2^17), capped at KERNEL_BLOCK so that every
+    block starts a row.  That balances the scan's ~9C numpy calls against
+    its n/C scalar steps (README has the timings)."""
+    return min(1 << max((n.bit_length() - 1) // 2 - 2, 0), KERNEL_BLOCK)
 
 
 def _scan(d, values):
@@ -269,20 +260,18 @@ def _scan(d, values):
     to ((d1 + d2) + d2*d1, (s1 + s2) + d2*s1), which keeps s = -d exact.
     Pass 1 composes each row's map a column at a time, in three row-length
     arrays; pass 2 carries the row ends, over the last column's s; pass 3
-    reruns the others from the row starts, each over its s (C = 1: pass 2)."""
+    reruns the others from the row starts, each over its s."""
     width, rows = d.shape
     stop = width * rows
     s = [values[j + 1 : j + 1 + stop : width] for j in range(width)]
-    row_d, row_s = d[0], s[0]
-    if width > 1:
-        row_d, row_s, t = row_d.copy(), row_s.copy(), np.empty(rows)
-        for d_j, s_j in zip(d[1:], s[1:]):
-            np.multiply(d_j, row_d, out=t)
-            row_d += d_j
-            row_d += t
-            np.multiply(d_j, row_s, out=t)
-            row_s += s_j
-            row_s += t
+    row_d, row_s, t = d[0].copy(), s[0].copy(), np.empty(rows)
+    for d_j, s_j in zip(d[1:], s[1:]):
+        np.multiply(d_j, row_d, out=t)
+        row_d += d_j
+        row_d += t
+        np.multiply(d_j, row_s, out=t)
+        row_s += s_j
+        row_s += t
     y = float(values[0])
     ends = []
     append = ends.append
@@ -487,11 +476,11 @@ def integrate(scheme: str, problem: Problem, mesh: Mesh) -> Trajectory:
     Gauss stage system is nonsingular, every step is non-expansive,
     |1 + D_i| <= 1, so rounding differences cannot grow, and the run stays
     below KERNEL_HEADROOM.  It runs the recurrence y + (D_i*y + S_i) as a
-    two-level scan over rows of ``scan_width(N)`` intervals (a plain loop
-    when that is 1), and its values differ from the scalar driver's by a
-    few ulps per step, the same from run to run.  Otherwise the scalar
-    driver runs, with values and errors exactly those of one step function
-    call per interval: ``explicit_rk_step`` for explicit schemes,
+    two-level scan over rows of ``scan_width(N)`` intervals, and its
+    values differ from the scalar driver's by a few ulps per step, the
+    same from run to run.  Otherwise the scalar driver runs, with values
+    and errors exactly those of one step function call per interval:
+    ``explicit_rk_step`` for explicit schemes,
     ``gauss2_linear_step`` for ``gauss2`` (so it requires a linear problem;
     make_builtin's p and q are called once per block, on arrays, any other
     pair's on floats); a step it hands over is redone by that function,

@@ -33,9 +33,6 @@ from reference_tables import (
 )
 
 
-INDEX_CHUNK = len(mesh_module._INDEX_CHUNK)
-
-
 def trajectory_from_values(values, exact=None):
     mesh = build_uniform_mesh(len(values) - 1)
     problem = Problem(
@@ -362,17 +359,19 @@ class TestSweepArrays:
         for array in found:
             assert not any(np.shares_memory(array, other) for other in swept)
 
-    @pytest.mark.parametrize("n", [1, 2, INDEX_CHUNK - 1, INDEX_CHUNK + 1, 2 * INDEX_CHUNK + 3])
+    @pytest.mark.parametrize("n", [1, 2, 1023, 1024, 1025, 2049, 3 * 1024 + 3, 8191, 8193, 16387])
     def test_swept_index_is_arange(self, n):
-        """A sweep's float index, written chunk by chunk over nan, has
-        np.arange's doubles."""
-        token = mesh_module._SWEEP_ARRAYS.set({"nodes": np.full(3 * INDEX_CHUNK, np.nan)})
+        """A sweep's float index, written over nan from a 1024-node head
+        that doubles in place, has np.arange's doubles and ends at n."""
+        slot = np.full(2**15, np.nan)
+        token = mesh_module._SWEEP_ARRAYS.set({"nodes": slot})
         try:
             index = mesh_module._array("nodes", n, index=True)
-            assert np.shares_memory(index, mesh_module._SWEEP_ARRAYS.get()["nodes"])
+            assert np.shares_memory(index, slot)
         finally:
             mesh_module._SWEEP_ARRAYS.reset(token)
         assert index.tobytes() == np.arange(n, dtype=float).tobytes()
+        assert np.isnan(slot[n:]).all()
 
     @pytest.mark.parametrize("n", [1000, 5000, 2**12 + 3])
     @pytest.mark.parametrize("scheme", ["heun", "rk3_a", "gauss2"])

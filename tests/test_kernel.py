@@ -48,12 +48,7 @@ from shishkin_ivp import (
 )
 from shishkin_ivp import convergence, steppers
 from shishkin_ivp.problems import array_eval, domain_bounds
-from shishkin_ivp.steppers import (
-    KERNEL_BLOCK,
-    KERNEL_MIN_INTERVALS,
-    SCAN_MIN_INTERVALS,
-    scan_width,
-)
+from shishkin_ivp.steppers import KERNEL_BLOCK, KERNEL_MIN_INTERVALS, scan_width
 from shishkin_ivp.tableaux import EXPLICIT_SCHEMES
 
 ULP_FACTOR = 4.0
@@ -423,9 +418,8 @@ class TestGate:
     @pytest.mark.parametrize("scheme", SCHEME_NAMES)
     def test_stationary_solution_exact(self, scheme):
         """y' = -y + 1 from y = 1: the increment form keeps every node at 1,
-        in the plain loop (N = 500) and in the scan (C = 16 and 64), whose
-        composed maps keep S = -D bit for bit (rounding commutes with
-        negation)."""
+        in the scan at C = 4, 16 and 64, whose composed maps keep S = -D
+        bit for bit (rounding commutes with negation)."""
         problem = Problem(
             epsilon=1.0,
             x0=0.0,
@@ -434,7 +428,7 @@ class TestGate:
             linear=(lambda x: -1.0, lambda x: 1.0),
             label="stationary",
         )
-        for n, width in (500, 1), (5000, 16), (2**16, 64):
+        for n, width in (500, 4), (5000, 16), (2**16, 64):
             assert scan_width(n) == width
             values = integrate(scheme, problem, build_from_sigma(n, 0.5, 0.2)).values
             assert np.all(values == 1.0)
@@ -829,21 +823,21 @@ class TestScan:
     within the oracle's ulp bound on both sides of every change of C."""
 
     def test_width_rule(self):
-        """C is 1 below SCAN_MIN_INTERVALS, then the largest power of two
-        at most sqrt(N)/4; it changes only at even powers of two."""
-        assert SCAN_MIN_INTERVALS == 2**10
+        """C is the largest power of two at most sqrt(N)/4, at least 1; it
+        changes only at even powers of two."""
         widths = {k: scan_width(2**k) for k in range(2, 23)}
-        assert widths == {k: 1 if k < 10 else 2 ** (k // 2 - 2) for k in range(2, 23)}
+        assert widths == {k: 2 ** max(0, k // 2 - 2) for k in range(2, 23)}
         changes = [k for k in range(3, 23) if scan_width(2**k - 1) != widths[k]]
-        assert changes == list(range(10, 23, 2))
+        assert changes == list(range(6, 23, 2))
         assert all(scan_width(2**k + 1) == widths[k] for k in range(2, 23))
         assert scan_width(2**40) == KERNEL_BLOCK
 
-    @pytest.mark.parametrize("n", [2**4, 2**6, 2**9, SCAN_MIN_INTERVALS - 2])
+    @pytest.mark.parametrize("n", [16, 32, 48, 62])
     @pytest.mark.parametrize("scheme", SCHEME_NAMES)
     def test_width_one_is_the_plain_loop(self, scheme, n):
-        """The kernel's values are the plain loop over its D and S; integrate
-        returns them from KERNEL_MIN_INTERVALS on, and the oracle's below."""
+        """Below 64 intervals the kernel's values are the plain loop over its
+        D and S; integrate returns them from KERNEL_MIN_INTERVALS on, and
+        the oracle's below."""
         assert scan_width(n) == 1
         eps = 2.0**-4
         problem = make_builtin("layer1", eps)
@@ -862,8 +856,8 @@ class TestScan:
 
     @pytest.mark.parametrize(
         "scheme, kind, n",
-        [(scheme, "shishkin", 2**10) for scheme in SCHEME_NAMES]
-        + [(scheme, "uniform", n) for n in (3001, 5000) for scheme in SCHEME_NAMES]
+        [(scheme, "shishkin", n) for n in (64, 128, 256, 1000, 2**10) for scheme in SCHEME_NAMES]
+        + [(scheme, "uniform", n) for n in (127, 255, 1023, 3001, 5000) for scheme in SCHEME_NAMES]
         + [("heun", "shishkin", 2**16)],
     )
     def test_two_level_scan_is_its_plain_python(self, scheme, kind, n):
@@ -898,16 +892,25 @@ class TestScan:
 
     @pytest.mark.parametrize(
         "scheme, n",
-        [(scheme, 2**k + dn) for k in (10, 12, 14) for dn in (-2, 0) for scheme in SCHEME_NAMES]
+        [(scheme, n) for n in (64, 127, 128, 255, 256, 1000, 1023) for scheme in SCHEME_NAMES]
+        + [(scheme, 2**k + dn) for k in (10, 12, 14) for dn in (-2, 0) for scheme in SCHEME_NAMES]
         + [("heun", 2**16 - 2), ("heun", 2**16)],
     )
     def test_both_sides_of_each_width_change(self, scheme, n):
-        """Shishkin meshes just below and at each change of C up to 2^16;
-        the values are the same from run to run."""
-        eps = 2.0**-8
+        """Meshes just below and at each change of C up to 2^16: Shishkin,
+        uniform for odd N (a ragged last row), at eps = 2^-8 from 1000
+        intervals and 2^-4 below, where the explicit schemes' coarse steps
+        at 2^-8 are expansive.  The values are the same from run to run.
+        Below KERNEL_MIN_INTERVALS integrate runs the scalar driver, and
+        the kernel's own values keep to the oracle's ulp bound."""
+        eps = 2.0 ** (-8 if n >= 1000 else -4)
         problem = make_builtin("layer1", eps)
-        mesh = mesh_for("shishkin", n, eps)
-        assert check_against_oracle(scheme, problem, mesh) == "kernel"
+        mesh = mesh_for("uniform" if n % 2 else "shishkin", n, eps)
+        if n < KERNEL_MIN_INTERVALS:
+            expected = oracle(scheme, problem, mesh)
+            assert np.abs(kernel_values(scheme, problem, mesh) - expected).max() <= ulp_bound(expected)
+        path = "identical" if n < KERNEL_MIN_INTERVALS else "kernel"
+        assert check_against_oracle(scheme, problem, mesh) == path
         first = integrate(scheme, problem, mesh).values
         assert first.tobytes() == integrate(scheme, problem, mesh).values.tobytes()
 
