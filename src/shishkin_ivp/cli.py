@@ -53,7 +53,8 @@ def parse_epsilon(text: str) -> float:
     text = text.strip()
     m = _POWER_FORM.match(text)
     if m:
-        value = 2.0 ** float(m.group(1))
+        exponent = float(m.group(1))
+        value = 2.0**exponent if exponent < 1024 else np.inf  # 2.0**1024 overflows
     else:
         try:
             value = float(text)

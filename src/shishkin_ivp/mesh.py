@@ -77,8 +77,10 @@ class Mesh:
     """Ordered nodes x_0 < ... < x_N with per-interval widths.
 
     ``widths`` stores the defining interval widths; for the two-piece
-    constructions these are the exact per-piece constants, and the node
-    differences agree with them to machine precision.
+    constructions these are the exact per-piece constants.  The node
+    differences must agree with them (``inconsistent_widths``): Mesh(...)
+    raises ValueError otherwise, and the builders, which skip __init__,
+    make them agree to a few ulps of max|x|.
     """
 
     nodes: np.ndarray
@@ -86,17 +88,13 @@ class Mesh:
     kind: str
     sigma: float | None = None
 
-    #: True only on the builders' meshes, whose nodes are single-rounding
-    #: multiples of the stored widths, so that their differences are a few
-    #: ulps of max|x| from them: integrate skips inconsistent_widths for
-    #: these.  Not a field: a Mesh built or replaced by hand is checked.
-    _widths_match_nodes = False
-
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
         widths = np.asarray(self.widths, dtype=float)
         if nodes.ndim != 1 or widths.ndim != 1 or len(widths) != len(nodes) - 1:
             raise ValueError("mesh needs N+1 nodes and N widths")
+        if mismatched := inconsistent_widths(nodes, widths):
+            raise ValueError("mesh " + _width_mismatch(nodes, widths, mismatched[0]))
         nodes.setflags(write=False)
         widths.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
@@ -110,7 +108,7 @@ class Mesh:
 def _built(nodes, widths, kind: str, sigma: float | None) -> Mesh:
     nodes.setflags(write=False)  # the builders' 1-d float64 arrays: Mesh keeps them as they are
     widths.setflags(write=False)
-    return _unchecked(Mesh, nodes=nodes, widths=widths, kind=kind, sigma=sigma, _widths_match_nodes=True)
+    return _unchecked(Mesh, nodes=nodes, widths=widths, kind=kind, sigma=sigma)
 
 
 def _array(slot: str, size: int, index: bool = False) -> np.ndarray:
@@ -262,8 +260,9 @@ def width_tolerance(nodes: np.ndarray) -> float:
 def inconsistent_widths(nodes: np.ndarray, widths: np.ndarray) -> list[int]:
     """The indices i at which widths[i] and the node difference
     x_{i+1} - x_i differ by more than ``width_tolerance(nodes)``, or by nan."""
-    gap = nodes[1:] - nodes[:-1]
-    gap -= widths
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is nan: flagged
+        gap = nodes[1:] - nodes[:-1]
+        gap -= widths
     np.abs(gap, out=gap)
     tolerance = width_tolerance(nodes)
     if not gap.size or gap.max() <= tolerance:  # nan fails
@@ -271,10 +270,10 @@ def inconsistent_widths(nodes: np.ndarray, widths: np.ndarray) -> list[int]:
     return np.flatnonzero(~(gap <= tolerance)).tolist()
 
 
-def _width_mismatch(mesh: Mesh, i: int) -> str:
-    """The report on inconsistent width ``i``, for validate_mesh and integrate."""
-    d = float(mesh.nodes[i + 1] - mesh.nodes[i])
-    return f"width {float(mesh.widths[i])!r} inconsistent with node difference {d!r} at index {i}"
+def _width_mismatch(nodes: np.ndarray, widths: np.ndarray, i: int) -> str:
+    """The report on inconsistent width ``i``, for Mesh and validate_mesh."""
+    d = nodes.item(i + 1) - nodes.item(i)  # Python floats: inf - inf is nan, not a warning
+    return f"width {widths.item(i)!r} inconsistent with node difference {d!r} at index {i}"
 
 
 def validate_mesh(
@@ -284,7 +283,8 @@ def validate_mesh(
 
     Checks monotonicity, the expected endpoints (canonical [0, 1] by
     default), width positivity, and per-interval plus total consistency
-    between the stored widths and the node differences.
+    between the stored widths and the node differences (Mesh(...) rejects
+    a per-interval mismatch, but the builders' meshes skip that check).
     """
     report: list[str] = []
     nodes = mesh.nodes
@@ -298,7 +298,7 @@ def validate_mesh(
         report.append(f"right endpoint is {float(nodes[-1])!r}, expected {x_end!r}")
     for i in np.nonzero(widths <= 0.0)[0]:
         report.append(f"nonpositive width at index {i}")
-    report.extend(_width_mismatch(mesh, i) for i in inconsistent_widths(nodes, widths))
+    report.extend(_width_mismatch(nodes, widths, i) for i in inconsistent_widths(nodes, widths))
     total = abs(float(np.sum(widths)) - (nodes[-1] - nodes[0]))
     if total > width_tolerance(nodes):
         report.append(f"sum of widths deviates from node span by {total:.3e}")

@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from .mesh import Mesh, _array, _width_mismatch, inconsistent_widths
+from .mesh import Mesh, _array
 from .problems import (
     EvaluationError,
     Problem,
@@ -485,10 +485,7 @@ def integrate(scheme: str, problem: Problem, mesh: Mesh) -> Trajectory:
     make_builtin's p and q are called once per block, on arrays, any other
     pair's on floats); a step it hands over is redone by that function,
     which calls ``rhs``, or ``p`` and ``q``, again.  Blow-ups raise with
-    the failing ``step N``.  A mesh not made by the mesh builders whose
-    widths disagree with its node differences (``inconsistent_widths``)
-    raises ValueError, after the scalar driver's own error if any step
-    fails the step rule.
+    the failing ``step N``.
     """
     nodes = mesh.nodes
     slack = domain_slack(problem)
@@ -498,13 +495,6 @@ def integrate(scheme: str, problem: Problem, mesh: Mesh) -> Trajectory:
             f"[{problem.x0}, {problem.domain_end}]"
         )
     tableau = named_tableau(scheme)
-    mismatched = [] if mesh._widths_match_nodes else inconsistent_widths(nodes, mesh.widths)
-    if mismatched:
-        # A mesh that fails the step rule keeps the scalar driver's error
-        # (gauss2_linear_step accepts h = 0, which the rule does not).
-        if _step_checks(problem, (), nodes[:-1], mesh.widths)[1] is not None:
-            _scalar_integrate(tableau, problem, mesh)
-        raise ValueError("mesh " + _width_mismatch(mesh, mismatched[0]))
     values = None
     if problem.linear is not None and len(mesh.widths) >= KERNEL_MIN_INTERVALS:
         values = _affine_integrate(tableau, problem, mesh)

@@ -61,10 +61,16 @@ class TestParseEpsilon:
         with pytest.raises(ValueError):
             parse_epsilon(text)
 
-    @pytest.mark.parametrize("text", ["0", "0.0", "-0.25", "2^1", "1.5"])
+    @pytest.mark.parametrize("text", ["0", "0.0", "-0.25", "2^1", "1.5", "2^1024", "2^5000"])
     def test_out_of_range(self, text):
         with pytest.raises(ValueError, match="in \\(0, 1\\]"):
             parse_epsilon(text)
+
+    def test_overflowing_power_is_usage_error(self, capsys):
+        """2.0**1024 overflows: out of range, as inf is, not a numerical failure."""
+        assert run_cli(["solve", "--n-intervals", "4", "--eps", "2^1024"], capsys) == (
+            EXIT_USAGE, "", "error: epsilon must be in (0, 1], got inf\n"
+        )
 
 
 class TestMeshCommand:

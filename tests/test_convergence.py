@@ -102,7 +102,7 @@ class TestSolveChecks:
         problem, trajectory = self.solve(scheme, n)
         nodes = trajectory.mesh.nodes.copy()
         nodes[n // 2] = 1.5
-        mesh = Mesh(nodes=nodes, widths=trajectory.mesh.widths, kind="hand-built")
+        mesh = Mesh(nodes=nodes, widths=np.diff(nodes), kind="hand-built")
         moved = Trajectory(mesh=mesh, values=trajectory.values, scheme_id=scheme, problem_id="p")
         with pytest.raises(ValueError) as raised:
             max_error(moved, problem)

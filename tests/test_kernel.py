@@ -47,7 +47,8 @@ from shishkin_ivp import (
     run_sweep,
 )
 from shishkin_ivp import convergence, steppers
-from shishkin_ivp.problems import array_eval, domain_bounds
+from shishkin_ivp.mesh import inconsistent_widths, width_tolerance
+from shishkin_ivp.problems import _unchecked, array_eval, domain_bounds
 from shishkin_ivp.steppers import KERNEL_BLOCK, KERNEL_MIN_INTERVALS, scan_width
 from shishkin_ivp.tableaux import EXPLICIT_SCHEMES
 
@@ -235,6 +236,31 @@ def test_property_small_meshes_are_the_oracle(scheme, name, kind, log2_eps, n):
     problem = array_calls_counted(make_builtin(name, eps), counts)
     check_bit_identical(scheme, problem, mesh_for(kind, n, eps))
     assert counts == (["p", "q"] if scheme == "gauss2" else [])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), scheme=st.sampled_from(SCHEME_NAMES), n=st.integers(1, 40))
+def test_property_mesh_rejects_exactly_the_inconsistent_widths(data, scheme, n):
+    """Random nodes on [0, 1], each width its node difference except at up
+    to three intervals, moved by 0.5 to 2 times width_tolerance either way:
+    Mesh(...) raises exactly when inconsistent_widths flags an index, and
+    names the first.  Every mesh it accepts integrates as the per-step
+    oracle does on the same widths, bit for bit, or raises its exact error
+    (a width moved below a tiny node difference is negative)."""
+    inner = data.draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                               min_size=n - 1, max_size=n - 1, unique=True))
+    nodes = np.array([0.0, *sorted(inner), 1.0])
+    widths = np.diff(nodes)
+    for i in data.draw(st.sets(st.integers(0, n - 1), max_size=3)):
+        sign = data.draw(st.sampled_from([-1.0, 1.0]))
+        widths[i] += sign * data.draw(st.floats(0.5, 2.0)) * width_tolerance(nodes)
+    flagged = inconsistent_widths(nodes, widths)
+    if flagged:
+        with pytest.raises(ValueError, match=f"^mesh width .* at index {flagged[0]}$"):
+            Mesh(nodes=nodes, widths=widths, kind="uniform")
+        return
+    mesh = Mesh(nodes=nodes, widths=widths, kind="uniform")
+    check_bit_identical(scheme, make_builtin("layer1", 2.0**-4), mesh)
 
 
 @pytest.mark.parametrize("scheme", SCHEME_NAMES)
@@ -438,17 +464,21 @@ class TestGate:
         """A mesh whose interior leaves the domain, whose last width runs
         past its end, or with a node below its start is the scalar
         driver's to reject, with the oracle's ValueError, for every
-        scheme."""
+        scheme.  Each mesh's widths agree with its nodes, as Mesh
+        requires: the last width is 9e-13 longer than its node difference
+        and ends past 1 + DOMAIN_TOL, and the node below the start gives
+        a negative first width."""
         cases = [
-            ("decay", 1.0, [0.0, 1.5, 1.0], [1.5, -0.5]),
-            ("layer1", 0.5, [0.0, 0.5, 1.0], [0.5, 0.6]),
-            ("layer1", 0.5, [0.0, -1e-3, 1.0], [0.5, 0.5]),
+            ("decay", 1.0, [0.0, 1.5, 1.0], [0.0], "leaves the domain"),
+            ("layer1", 0.5, [0.0, 0.5, 1.0 + 9e-13], [0.0, 9e-13], "leaves the domain"),
+            ("layer1", 0.5, [0.0, -1e-3, 1.0], [0.0], "step size must be"),
         ]
-        for name, eps, nodes, widths in cases:
+        for name, eps, nodes, longer, message in cases:
             problem = make_builtin(name, eps)
-            bad = Mesh(nodes=np.array(nodes), widths=np.array(widths), kind="uniform")
+            nodes = np.array(nodes)
+            bad = Mesh(nodes=nodes, widths=np.diff(nodes) + longer, kind="uniform")
             assert kernel_values(scheme, problem, bad) is None
-            with pytest.raises(ValueError, match="leaves the domain") as expected:
+            with pytest.raises(ValueError, match=message) as expected:
                 oracle(scheme, problem, bad)
             with pytest.raises(ValueError) as raised:
                 integrate(scheme, problem, bad)
@@ -456,24 +486,27 @@ class TestGate:
 
     @pytest.mark.parametrize("scheme", SCHEME_NAMES)
     def test_inconsistent_widths_raise(self, scheme):
-        """Widths that disagree with the node differences are rejected,
-        though every step they give stays inside the domain (the kernel's
-        own gate passes them), also on a builder's mesh with its widths
-        replaced."""
-        bad = Mesh(nodes=np.array([0.0, 0.5, 1.0]), widths=np.array([0.5, 0.4]), kind="uniform")
-        replaced = dataclasses.replace(build_uniform_mesh(2), widths=bad.widths)
-        for mesh in bad, replaced:
-            oracle(scheme, make_builtin("layer1", 0.5), mesh)  # the steps themselves pass
-            assert kernel_values(scheme, make_builtin("layer1", 0.5), mesh) is not None
-            with pytest.raises(ValueError, match="width 0.4 inconsistent with node difference 0.5 at index 1"):
-                integrate(scheme, make_builtin("layer1", 0.5), mesh)
+        """Widths that disagree with the node differences are rejected
+        when the mesh is made, though every step they would give stays
+        inside the domain (the oracle and the kernel's own gate pass
+        them), also on a builder's mesh with its widths replaced."""
+        nodes, widths = np.array([0.0, 0.5, 1.0]), np.array([0.5, 0.4])
+        problem = make_builtin("layer1", 0.5)
+        steps_only = _unchecked(Mesh, nodes=nodes, widths=widths, kind="uniform", sigma=None)
+        oracle(scheme, problem, steps_only)
+        assert kernel_values(scheme, problem, steps_only) is not None
+        message = "mesh width 0.4 inconsistent with node difference 0.5 at index 1"
+        with pytest.raises(ValueError, match=message):
+            Mesh(nodes=nodes, widths=widths, kind="uniform")
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(build_uniform_mesh(2), widths=widths)
 
     @pytest.mark.parametrize("scheme", SCHEME_NAMES)
     @pytest.mark.parametrize("n", [3, 6, 7, 9, 11])
     def test_width_tolerance_scales_with_the_nodes(self, scheme, n):
         """On [0, 1e6] a uniform mesh's widths and node differences differ
         by up to ~1e-10, within the tolerance scaled by 1e6.  Copied by
-        hand, so that integrate checks its widths, such a mesh passes the
+        hand, so that Mesh checks its widths, such a mesh passes the
         step rule and integrates as the oracle does."""
         built = build_uniform_mesh(n, (0.0, 1e6))
         mesh = Mesh(nodes=built.nodes, widths=built.widths, kind="uniform")
@@ -492,18 +525,22 @@ class TestGate:
     @pytest.mark.parametrize("scheme", SCHEME_NAMES)
     def test_step_rule_error_comes_first(self, scheme):
         """Widths 1e-3 too long on the 7-interval uniform mesh on [0, 1e6]
-        end its last step past 1e6 (the builder's own widths already do,
-        by 1.2e-10, beyond the absolute DOMAIN_TOL): the step's error, not
-        a width error."""
+        would end its last step past 1e6 (the builder's own widths already
+        do, by 1.2e-10, beyond the absolute DOMAIN_TOL), which the oracle
+        rejects; Mesh(...) and dataclasses.replace reject the widths
+        first, at construction, so no step runs."""
         built = build_uniform_mesh(7, (0.0, 1e6))
-        mesh = Mesh(nodes=built.nodes, widths=built.widths + 1e-3, kind="uniform")
+        widths = built.widths + 1e-3
         problem = dataclasses.replace(make_builtin("decay", 1.0), domain_end=1e6)
-        assert kernel_values(scheme, problem, mesh) is None
-        with pytest.raises(ValueError, match="leaves the domain") as expected:
-            oracle(scheme, problem, mesh)
-        with pytest.raises(ValueError) as raised:
-            integrate(scheme, problem, mesh)
-        assert str(raised.value) == str(expected.value)
+        steps_only = _unchecked(Mesh, nodes=built.nodes, widths=widths, kind="uniform", sigma=None)
+        assert kernel_values(scheme, problem, steps_only) is None
+        with pytest.raises(ValueError, match="leaves the domain"):
+            oracle(scheme, problem, steps_only)
+        message = "mesh width 142857.14385714286 inconsistent with node difference 142857.14285714287 at index 0"
+        with pytest.raises(ValueError, match=message):
+            Mesh(nodes=built.nodes, widths=widths, kind="uniform")
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(built, widths=widths)
 
 
 def kernel_block(tableau, problem, x, h):

@@ -18,6 +18,13 @@ from shishkin_ivp import (
     validate_mesh,
 )
 from shishkin_ivp.mesh import WIDTH_CONSISTENCY_ATOL, inconsistent_widths
+from shishkin_ivp.problems import _unchecked
+
+
+def without_init(nodes, widths):
+    """A Mesh made as the builders make theirs, without __init__ and so
+    without its width check: what validate_mesh reports on such a mesh."""
+    return _unchecked(Mesh, nodes=nodes, widths=widths, kind="uniform", sigma=None)
 
 
 def params(n=2**10, eps=2.0**-10, order=2, b=1.0, alpha=0.5):
@@ -344,20 +351,29 @@ class TestValidateMesh:
         assert validate_mesh(mesh) == ["right endpoint is 1.5, expected 1.0"]
 
     def test_width_inconsistency(self):
-        nodes = np.array([0.0, 0.5, 1.0])
-        mesh = Mesh(nodes=nodes, widths=np.array([0.5, 0.499]), kind="uniform")
-        report = validate_mesh(mesh)
+        nodes, widths = np.array([0.0, 0.5, 1.0]), np.array([0.5, 0.499])
+        assert inconsistent_widths(nodes, widths) == [1]
+        with pytest.raises(ValueError, match="inconsistent"):
+            Mesh(nodes=nodes, widths=widths, kind="uniform")
+        report = validate_mesh(without_init(nodes, widths))
         assert any("inconsistent" in line for line in report)
 
     def test_messages_print_python_floats(self):
-        """The values read as integrate's width error reads them, not as
-        numpy scalar reprs."""
-        nodes = np.array([0.0, 0.5, 1.0])
-        mesh = Mesh(nodes=nodes, widths=np.array([0.5, 0.4]), kind="uniform")
-        assert validate_mesh(mesh) == [
+        """The values read as Python floats, not as numpy scalar reprs, in
+        Mesh's width error and in validate_mesh's report."""
+        nodes, widths = np.array([0.0, 0.5, 1.0]), np.array([0.5, 0.4])
+        with pytest.raises(ValueError) as raised:
+            Mesh(nodes=nodes, widths=widths, kind="uniform")
+        assert str(raised.value) == "mesh width 0.4 inconsistent with node difference 0.5 at index 1"
+        assert validate_mesh(without_init(nodes, widths)) == [
             "width 0.4 inconsistent with node difference 0.5 at index 1",
             "sum of widths deviates from node span by 1.000e-01",
         ]
+        # Each width 0.9e-12 longer than its node difference passes Mesh's
+        # per-interval rule; together they deviate from the span.
+        nodes = np.array([0.0, 0.25, 0.5, 1.0])
+        mesh = Mesh(nodes=nodes, widths=np.diff(nodes) + 0.9e-12, kind="uniform")
+        assert validate_mesh(mesh) == ["sum of widths deviates from node span by 2.700e-12"]
 
     def test_width_tolerance_on_the_unit_interval(self):
         """For |x| <= 1 the tolerance is WIDTH_CONSISTENCY_ATOL itself."""
@@ -375,24 +391,35 @@ class TestValidateMesh:
         assert validate_mesh(mesh, 0.0, 1e6) == []
         widths = mesh.widths.copy()
         widths[2] += 1e-3
-        bad = Mesh(nodes=mesh.nodes, widths=widths, kind="uniform")
-        assert inconsistent_widths(bad.nodes, bad.widths) == [2]
+        assert inconsistent_widths(mesh.nodes, widths) == [2]
+        with pytest.raises(ValueError, match="at index 2$"):
+            Mesh(nodes=mesh.nodes, widths=widths, kind="uniform")
 
     @pytest.mark.parametrize(
         "span", [(0.0, 1.0), (0.0, 1e6), (-3.7e5, 2.1e8), (1e-300, 3e-300), (-1e300, 1e300)]
     )
     def test_uniform_builder_widths_match_nodes(self, span):
-        """integrate skips the width check on builders' meshes: their nodes
-        are single-rounding multiples of the stored widths."""
+        """The builders skip Mesh's width check: their nodes are
+        single-rounding multiples of the stored widths."""
         for n in (1, 3, 7, 1000, 2**12 + 1):
             mesh = build_uniform_mesh(n, span)
             assert inconsistent_widths(mesh.nodes, mesh.widths) == [], n
 
     def test_nan_node_is_inconsistent(self):
-        nodes = np.array([0.0, np.nan, 1.0])
-        mesh = Mesh(nodes=nodes, widths=np.array([0.5, 0.5]), kind="uniform")
-        assert inconsistent_widths(mesh.nodes, mesh.widths) == [0, 1]
-        assert sum("inconsistent" in line for line in validate_mesh(mesh)) == 2
+        nodes, widths = np.array([0.0, np.nan, 1.0]), np.array([0.5, 0.5])
+        assert inconsistent_widths(nodes, widths) == [0, 1]
+        with pytest.raises(ValueError) as raised:
+            Mesh(nodes=nodes, widths=widths, kind="uniform")
+        assert str(raised.value) == "mesh width 0.5 inconsistent with node difference nan at index 0"
+        report = validate_mesh(without_init(nodes, widths))
+        assert sum("inconsistent" in line for line in report) == 2
+
+    @pytest.mark.parametrize("nodes", [[0.0, np.inf, np.inf], [0.0, 1e308, -1e308]])
+    def test_nonfinite_node_difference_is_inconsistent(self, nodes):
+        """inf - inf and an overflowing difference are flagged, with no
+        RuntimeWarning (an error under this suite's filter)."""
+        with pytest.raises(ValueError, match="^mesh width 1.0 inconsistent with node difference"):
+            Mesh(nodes=np.array(nodes), widths=np.array([1.0, 1.0]), kind="uniform")
 
     def test_valid_is_empty(self):
         assert validate_mesh(build_uniform_mesh(4)) == []
