@@ -13,8 +13,8 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import os
 import re
+import select
 import sys
 from typing import Iterable, Iterator
 
@@ -436,47 +436,47 @@ def main(argv: list[str] | None = None) -> int:
     except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    if args.out:
-        try:
+    try:
+        if args.out:
             with open(args.out, "wb") as fh:
                 _write_blocks(fh, blocks)
-        except OSError as exc:
-            print(f"error: cannot write {args.out!r}: {exc.strerror}", file=sys.stderr)
-            return EXIT_USAGE
-    elif hasattr(sys.stdout, "buffer"):
-        sys.stdout.flush()  # text written before stays ahead of these bytes
-        _write_blocks(sys.stdout.buffer, blocks)
-    else:  # a text-only stream, such as io.StringIO
-        for block in blocks:
-            sys.stdout.write(block.decode())
+        elif hasattr(sys.stdout, "buffer"):
+            sys.stdout.flush()  # text written before stays ahead of these bytes
+            _write_blocks(sys.stdout.buffer, blocks)
+        else:  # a text-only stream, such as io.StringIO
+            for block in blocks:
+                sys.stdout.write(block.decode())
+    except OSError as exc:
+        where = repr(args.out) if args.out else "stdout"
+        print(f"error: cannot write {where}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK
 
 
 def _write_blocks(stream, blocks: Iterable[bytes]) -> None:
-    """Write each block to a binary stream as it comes, repeating short
-    writes (a raw, unbuffered stream may take part of a block) until
-    every byte is written, then flush."""
+    """Write each block as it comes to a binary stream's raw file (to the
+    stream itself if it has none), after flushing the stream, until every
+    byte is written: a raw write may take part of a block, or on a
+    non-blocking file none (it returns None), and select then waits until
+    the file takes more.  No byte is left in a buffer for a later flush."""
+    stream.flush()
+    raw = getattr(stream, "raw", stream)
     for block in blocks:
         view = memoryview(block)
         while view:
-            view = view[stream.write(view) :]
-    stream.flush()
+            written = raw.write(view)
+            if written is None:
+                select.select([], [raw], [])
+            view = view[written or 0 :]
 
 
 def process_main() -> int:
     """``main()`` as the entry point of ``python -m shishkin_ivp.cli`` and
     of the installed ``shishkin-ivp``: ``gc.freeze()`` first moves the
     ~21,000 objects alive after import into the permanent generation, so
-    no collection walks them again, interpreter shutdown's included.  An
-    unwritable stdout is a usage error, as an unwritable ``--out`` is; fd 1
-    then goes to os.devnull, so the final flush cannot fail either."""
+    no collection walks them again, interpreter shutdown's included."""
     gc.freeze()
-    try:
-        return main()
-    except OSError as exc:
-        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_USAGE
+    return main()
 
 
 if __name__ == "__main__":

@@ -47,8 +47,8 @@ KERNEL_BLOCK = 8192
 #: (the crossover of all six tableaux on layer1, README).
 KERNEL_MIN_INTERVALS = 128
 
-#: The kernel requires max|y| * max|coefficient| + max|offset| over the
-#: whole run below this, far enough from overflow that the scalar driver's
+#: The kernel requires max|y| * ||coefficient|| + ||offset|| over the whole
+#: run below this, far enough from overflow that the scalar driver's
 #: intermediates, which differ by rounding, stay finite too.
 KERNEL_HEADROOM = 2.0**1000
 
@@ -192,10 +192,10 @@ def _step_checks(problem: Problem, c, x, h):
 
 
 def _on_stages(fn, stage_x):
-    """``fn`` called once on every stage abscissa of a block, as an (s, n)
-    array of its values, or None if ``fn`` rejects arrays."""
+    """``fn`` called once on every stage abscissa of a block, as the list
+    of the s rows of its values, or None if ``fn`` rejects arrays."""
     value = array_eval(fn, stage_x.reshape(-1))
-    return None if value is None else value.reshape(stage_x.shape)
+    return None if value is None else list(value.reshape(stage_x.shape))
 
 
 def _explicit_coefficients(a, b, ps, h):
@@ -216,9 +216,9 @@ def _explicit_coefficients(a, b, ps, h):
         for a_j, p, q in zip(a, ps, qs):
             acc = [beta if w == 1.0 else w * beta for w, beta in zip(a_j, betas) if w]
             betas.append(p * (h * sum(acc[1:], acc[0])) + q if acc else q)
-        return h * sum(b_j * beta for b_j, beta in zip(b, betas)), [qs] + betas[1:]
+        return h * sum(b_j * beta for b_j, beta in zip(b, betas)), qs + betas[1:]
 
-    return h * sum(b_j * alpha for b_j, alpha in zip(b, alphas)), [ps] + alphas[1:], offsets
+    return h * sum(b_j * alpha for b_j, alpha in zip(b, alphas)), ps + alphas[1:], offsets
 
 
 def _gauss2_coefficients(ps, h):
@@ -236,9 +236,9 @@ def _gauss2_coefficients(ps, h):
 
     def offsets(qs):
         betas = [qs[0] * f2, qs[1] * f1]
-        return 0.5 * h * (betas[0] + betas[1]) / denom, betas + [qs]
+        return 0.5 * h * (betas[0] + betas[1]) / denom, betas + qs
 
-    return 0.5 * h * (alphas[0] + alphas[1]) / denom, alphas + [ps], offsets
+    return 0.5 * h * (alphas[0] + alphas[1]) / denom, alphas + ps, offsets
 
 
 def scan_width(n: int) -> int:
@@ -290,11 +290,11 @@ def _affine_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
     """Node values from the affine-step kernel, or None when a block fails
     the gate that integrate documents, whose every clause is tested here:
     per block that passes _step_checks, one p call, D and the alpha forms,
-    |1 + D| <= 1, a_max; one q call, S and the beta forms, b_max (a_max and
-    b_max bound the affine forms alpha*y + beta of the scalar step's
-    intermediates).  D goes into the scan's rows and S into its interval's
-    result slot (see _scan), beside one 8N-byte D grid (mesh._array) and
-    KERNEL_BLOCK-sized temporaries; one headroom test follows the scan."""
+    |1 + D| <= 1; one q call, S and the beta forms.  Their largest squared
+    norms A and B (one dot per 1-d form: README) bound the scalar step's
+    intermediates alpha*y + beta; after the scan, max|y|*sqrt(A) + sqrt(B)
+    is tested.  D goes into the scan's rows and S into its interval's result
+    slot (_scan), beside one 8N-byte D grid and block-sized temporaries."""
     nodes, widths = mesh.nodes, mesh.widths
     n = len(widths)
     width = scan_width(n)
@@ -306,8 +306,8 @@ def _affine_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
     a, b, c = tableau._lists
     coefficients = partial(_explicit_coefficients, a, b) if tableau.explicit else _gauss2_coefficients
     p_fn, q_fn = problem.linear
-    minimum, maximum = np.minimum.reduce, np.maximum.reduce  # axis None: every element
-    a_max = b_max = 0.0
+    minimum, maximum = np.minimum.reduce, np.maximum.reduce
+    a_sq = b_sq = 0.0
     with np.errstate(all="ignore"):
         for lo in range(0, n, KERNEL_BLOCK):
             hi = min(lo + KERNEL_BLOCK, n)
@@ -319,20 +319,20 @@ def _affine_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
             if found is None or not (minimum(found[0]) >= -2.0 and maximum(found[0]) <= 2.0**-53):
                 return None
             d, forms, offsets = found
-            a_max = max(a_max, *(max(maximum(f, None), -minimum(f, None)) for f in forms))
+            a_sq = max(a_sq, *map(np.ndarray.dot, forms, forms))
             del found, forms  # the alpha forms, before q's stage values
             qs = _on_stages(q_fn, stage_x)
             if qs is None:
                 return None
             s, forms = offsets(qs)
-            b_max = max(b_max, *(max(maximum(f, None), -minimum(f, None)) for f in forms))
+            b_sq = max(b_sq, *map(np.ndarray.dot, forms, forms))
             del ps, qs, forms, offsets  # before the next block's arrays
             row, (full, tail) = lo // width, divmod(hi - lo, width)
             d_rows[:, row : row + full] = d[: full * width].reshape(full, width).T
             d_rows[:tail, -1] = d[full * width :]
             values[1 + lo : 1 + hi] = s
         _scan(d_rows, values)
-        if not max(maximum(values), -minimum(values)) * a_max + b_max <= KERNEL_HEADROOM:
+        if not max(maximum(values), -minimum(values)) * math.sqrt(a_sq) + math.sqrt(b_sq) <= KERNEL_HEADROOM:
             return None
     return values[: n + 1]
 
@@ -469,23 +469,23 @@ def integrate(scheme: str, problem: Problem, mesh: Mesh) -> Trajectory:
 
     Exactly one step per interval, left to right.  The affine-step kernel
     runs when the mesh has at least KERNEL_MIN_INTERVALS intervals, the
-    problem has a linear form whose coefficient functions
-    accept arrays (scalar results are broadcast), every interval passes
-    the step functions' rule (h > 0; x, x + h and every stage abscissa
-    inside the domain), every coefficient and stage slope is finite, every
-    Gauss stage system is nonsingular, every step is non-expansive,
-    |1 + D_i| <= 1, so rounding differences cannot grow, and the run stays
-    below KERNEL_HEADROOM.  It runs the recurrence y + (D_i*y + S_i) as a
+    problem has a linear form whose coefficient functions accept arrays
+    (scalar results are broadcast), every interval passes the step
+    functions' rule (h > 0; x, x + h and every stage abscissa inside the
+    domain), every coefficient and stage slope is finite, every Gauss
+    stage system is nonsingular, every step is non-expansive, |1 + D_i| <= 1,
+    so rounding differences cannot grow, and max|y| times the largest
+    2-norm of a coefficient form, plus that of an offset form, stays below
+    KERNEL_HEADROOM.  It runs the recurrence y + (D_i*y + S_i) as a
     two-level scan over rows of ``scan_width(N)`` intervals, and its
     values differ from the scalar driver's by a few ulps per step, the
     same from run to run.  Otherwise the scalar driver runs, with values
     and errors exactly those of one step function call per interval:
-    ``explicit_rk_step`` for explicit schemes,
-    ``gauss2_linear_step`` for ``gauss2`` (so it requires a linear problem;
-    make_builtin's p and q are called once per block, on arrays, any other
-    pair's on floats); a step it hands over is redone by that function,
-    which calls ``rhs``, or ``p`` and ``q``, again.  Blow-ups raise with
-    the failing ``step N``.
+    ``explicit_rk_step`` for explicit schemes, ``gauss2_linear_step`` for
+    ``gauss2`` (so it requires a linear problem; make_builtin's p and q
+    are called once per block, on arrays, any other pair's on floats); a
+    step it hands over is redone by that function, which calls ``rhs``,
+    or ``p`` and ``q``, again.  Blow-ups raise with the failing ``step N``.
     """
     nodes = mesh.nodes
     slack = domain_slack(problem)

@@ -7,8 +7,11 @@ import importlib.util
 import io
 import os
 import re
+import select
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -557,6 +560,60 @@ class TestUnwritableStdout:
         assert (proc.returncode, err) == (
             EXIT_USAGE, b"error: cannot write stdout: No space left on device\n"
         )
+
+
+@pytest.mark.skipif(not (hasattr(os, "posix_spawn") and hasattr(os, "wait4")),
+                    reason="needs os.posix_spawn and os.wait4")
+class TestNonBlockingStdout:
+    """A stdout pipe opened O_NONBLOCK whose reader starts late: a write
+    that would block waits until the pipe takes more, neither failing
+    (exit 2, "write could not complete without blocking") nor retrying at
+    once.  In both stdout modes, buffered and PYTHONUNBUFFERED's raw file,
+    the CLI exits 0 with the bytes a blocking pipe carries, and its CPU
+    time stays well below the time it waits for the reader."""
+
+    ARGS = ["mesh", "--mesh", "uniform", "--n-intervals", "200000"]  # 13.4 MB, ~200 pipe buffers
+    DELAY = 2.0
+
+    @classmethod
+    def run(cls, unbuffered, blocking, delay, err_path):
+        """Exit code, stdout bytes, stderr bytes and CPU seconds of one CLI
+        process whose stdout pipe is read from ``delay`` seconds on."""
+        env = _child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.set_blocking(write_end, blocking)
+        try:
+            pid = os.posix_spawn(
+                sys.executable, [sys.executable, "-m", "shishkin_ivp.cli", *cls.ARGS], env,
+                file_actions=[(os.POSIX_SPAWN_DUP2, write_end, 1),
+                              (os.POSIX_SPAWN_OPEN, 2, str(err_path), os.O_WRONLY | os.O_CREAT, 0o600)],
+            )
+        finally:
+            os.close(write_end)
+        time.sleep(delay)
+        chunks, deadline = [], time.monotonic() + 60.0
+        with open(read_end, "rb", buffering=0) as reader:
+            while select.select([reader], [], [], max(deadline - time.monotonic(), 0.0))[0]:
+                if not (chunk := reader.read(1 << 20)):
+                    break
+                chunks.append(chunk)
+            else:  # no end of file within the deadline: a hung child fails the test
+                os.kill(pid, signal.SIGKILL)
+        _, status, usage = os.wait4(pid, 0)
+        return (os.waitstatus_to_exitcode(status), b"".join(chunks), err_path.read_bytes(),
+                usage.ru_utime + usage.ru_stime)
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_late_reader(self, unbuffered, tmp_path):
+        code, expected, err, blocking_cpu = self.run(unbuffered, True, 0.0, tmp_path / "blocking.err")
+        assert (code, err, len(expected)) == (EXIT_OK, b"", 13388241)
+        code, out, err, cpu = self.run(unbuffered, False, self.DELAY, tmp_path / "late.err")
+        assert (code, err) == (EXIT_OK, b"")
+        assert out == expected
+        assert cpu < blocking_cpu + self.DELAY / 4
 
 
 @pytest.mark.parametrize("key", list(CLI_GOLDENS))

@@ -304,7 +304,7 @@ class TestGate:
         d = np.array([self.GATE_EDGES[name]])
 
         def coefficients(ps, h):
-            return d.copy(), [ps], lambda qs: (np.zeros(len(h)), [qs])
+            return d.copy(), ps, lambda qs: (np.zeros(len(h)), qs)
 
         monkeypatch.setattr(steppers, "_gauss2_coefficients", coefficients)
         mesh = build_uniform_mesh(1)
@@ -543,10 +543,10 @@ class TestGate:
             dataclasses.replace(built, widths=widths)
 
 
-def kernel_block(tableau, problem, x, h):
+def kernel_forms(tableau, problem, x, h):
     """The kernel's coefficient layer on one block, with the gate that
     _affine_integrate runs on it: the stage abscissae, then None (gate
-    failed) or D, S and the block's headroom maxima."""
+    failed) or D, S and the block's alpha and beta forms."""
     stage_x, failed = steppers._step_checks(problem, tableau.c, x, h)
     assert failed is None
     p_fn, q_fn = problem.linear
@@ -559,8 +559,17 @@ def kernel_block(tableau, problem, x, h):
         return stage_x, None
     d, alpha_forms, offsets = found
     s, beta_forms = offsets(steppers._on_stages(q_fn, stage_x))
-    a_max, b_max = (max(np.abs(form).max() for form in forms) for forms in (alpha_forms, beta_forms))
-    return stage_x, (d, s, a_max, b_max)
+    return stage_x, (d, s, alpha_forms, beta_forms)
+
+
+def kernel_block(tableau, problem, x, h):
+    """``kernel_forms`` with the block's headroom terms, the largest
+    squared norms of its alpha and of its beta forms, for the forms."""
+    stage_x, found = kernel_forms(tableau, problem, x, h)
+    if found is None:
+        return stage_x, None
+    d, s, *forms = found
+    return stage_x, (d, s, *(max(np.vdot(f, f) for f in side) for side in forms))
 
 
 def kernel_coefficients(scheme, problem, mesh):
@@ -582,8 +591,9 @@ def reference_block(tableau, problem, x, h):
     defined: every stage abscissa x + c_j*h, every coefficient converted
     and broadcast, forward-substitution sums over the nonzero a_jk and
     over all b_j from Python's int 0 (so p*(h*0) + q for a first stage),
-    the Gauss step by Cramer's rule, and maxima over every alpha, beta, p
-    and q.  Returns what ``kernel_block`` returns."""
+    the Gauss step by Cramer's rule, and the largest squared norm over
+    every alpha and p, and over every beta and q, each stage's on its own.
+    Returns what ``kernel_block`` returns."""
     p_fn, q_fn = problem.linear
     stage_x = [x + c_j * h for c_j in tableau.c.tolist()]
 
@@ -621,8 +631,8 @@ def reference_block(tableau, problem, x, h):
         qs = on_stages(q_fn)
         betas = [qs[0] * f2, qs[1] * f1]
         s = 0.5 * h * (betas[0] + betas[1]) / det
-    a_max = max(np.abs(f).max() for f in alphas + ps)
-    return stage_x, (d, s, a_max, max(np.abs(f).max() for f in betas + qs))
+    a_sq = max(np.vdot(f, f) for f in alphas + ps)
+    return stage_x, (d, s, a_sq, max(np.vdot(f, f) for f in betas + qs))
 
 
 #: Coefficient callbacks for the bit-level test: float64 arrays with
@@ -711,7 +721,7 @@ class TestCoefficientLayer:
 
     @pytest.mark.parametrize("scheme", SCHEME_NAMES)
     def test_bits_equal_the_generic_layer(self, scheme):
-        """Stage abscissae, D, S and the per-block headroom maxima, sign
+        """Stage abscissae, D, S and the per-block headroom terms, sign
         bits included (byte comparison), on random blocks of 64 intervals
         and of a full KERNEL_BLOCK with +-0.0 nodes, -0.0 coefficients and
         every kind of callback result; the gate's verdict is the same too."""
@@ -741,10 +751,10 @@ class TestCoefficientLayer:
         assert 0 < sum(verdicts) < len(verdicts) / 2
 
 
-def counted_linear_problem(calls, p=lambda x: -1.0 - x, q=lambda x: x):
-    """y' = p(x)*y + q(x) on [0, 1], by default (-1 - x)*y + x, its p and
-    q appending the shape of every argument to ``calls`` under their
-    names."""
+def counted_linear_problem(calls, p=lambda x: -1.0 - x, q=lambda x: x, end=1.0):
+    """y' = p(x)*y + q(x) on [0, end] from y = 1, by default (-1 - x)*y + x
+    on [0, 1], its p and q appending the shape of every argument to
+    ``calls`` under their names."""
 
     def counted(name, fn):
         def callback(x):
@@ -757,6 +767,7 @@ def counted_linear_problem(calls, p=lambda x: -1.0 - x, q=lambda x: x):
         epsilon=1.0,
         x0=0.0,
         y0=1.0,
+        domain_end=end,
         rhs=lambda x, y: p(x) * y + q(x),
         linear=(counted("p", p), counted("q", q)),
         label="counted",
@@ -852,6 +863,117 @@ class TestGateOrder:
         assert calls == [("p", (2 * KERNEL_BLOCK,))]
         with pytest.raises(SingularStepError, match=f"^step {i} failed: singular stage system"):
             integrate("gauss2", problem, mesh)
+
+
+def old_headroom_admits(y_max, blocks):
+    """The headroom clause as the kernel wrote it before it took squared
+    norms: one max and one min per form, the largest |value| of the alpha
+    forms (a_max) and of the beta forms (b_max) over the run, accumulated
+    as the kernel did (Python's max keeps its first argument against a
+    nan), and max|y| * a_max + b_max <= KERNEL_HEADROOM."""
+    a_max = b_max = 0.0
+    with np.errstate(all="ignore"):
+        for alpha_forms, beta_forms in blocks:
+            a_max = max(a_max, *(max(np.maximum.reduce(f, None), -np.minimum.reduce(f, None)) for f in alpha_forms))
+            b_max = max(b_max, *(max(np.maximum.reduce(f, None), -np.minimum.reduce(f, None)) for f in beta_forms))
+        return y_max * a_max + b_max <= steppers.KERNEL_HEADROOM
+
+
+#: Form values at the edges of the squared-norm bound: signed zeros,
+#: subnormals (whose squares underflow), magnitudes in [2^500, 2^520]
+#: (whose squares reach past 2^1000 and overflow from 2^512), infinities
+#: and nan, beside a few ordinary values.
+FORM_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -0.75, 5e-324, -5e-324, 2.0**-1022, 2.0**-600, math.inf, -math.inf, math.nan]),
+    st.floats(min_value=5e-324, max_value=2.0**-1022, exclude_max=True),
+    st.builds(lambda sign, m: sign * m, st.sampled_from([1.0, -1.0]), st.floats(2.0**500, 2.0**520)),
+)
+FORMS = st.lists(st.lists(FORM_VALUES, min_size=1, max_size=6).map(np.array), min_size=1, max_size=4)
+#: Starting values, so every node value: beside fixed edges, magnitudes
+#: in [2^480, 2^500], whose products with the large forms straddle the
+#: headroom 2^1000.
+Y_MAX = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1.0, -3.0, 2.0**-600, 2.0**300, 2.0**500, 2.0**520, 1e308]),
+    st.builds(lambda sign, m: sign * m, st.sampled_from([1.0, -1.0]), st.floats(2.0**480, 2.0**500)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(blocks=st.lists(st.tuples(FORMS, FORMS), min_size=1, max_size=3), y0=Y_MAX)
+@example(blocks=[([np.array([2.0**500])], [np.array([0.0])])], y0=2.0**500)
+@example(blocks=[([np.array([2.0**500, 5e-324])], [np.array([-0.0])])], y0=-2.0**500)
+@example(blocks=[([np.array([2.0**511])], [np.array([2.0**-600])])], y0=2.0**489)
+@example(blocks=[([np.array([2.0**512])], [np.array([1.0])])], y0=0.0)
+@example(blocks=[([np.array([math.nan]), np.array([2.0**520])], [np.array([1.0])])], y0=1.0)
+@example(blocks=[([np.array([-0.0]), np.array([1.5 * 2.0**500])], [np.array([1.0])])], y0=2.0**500)
+@example(blocks=[([np.array([1.0])], [np.array([0.0])]), ([np.array([1.0])], [np.array([-1.5 * 2.0**500, 1.0])])],
+         y0=2.0**500 * 1.5)
+def test_property_squared_norms_admit_only_what_the_extrema_admitted(blocks, y0):
+    """The kernel's headroom clause, max|y| * sqrt(A) + sqrt(B), A and B the
+    largest squared norms of the alpha and of the beta forms, on hand-made
+    forms behind D = S = 0 (so every node value is y0), one block per
+    interval: it admits a run only where the clause of max and min per
+    form admitted it, and admits every run whose forms and y0 are finite
+    and small enough that nothing squares or multiplies near overflow."""
+    problem = Problem(epsilon=1.0, x0=0.0, y0=y0, rhs=lambda x, y: 0.0,
+                      linear=(lambda x: 0.0, lambda x: 0.0), label="zero")
+    pending = list(blocks)
+
+    def coefficients(ps, h):
+        alpha_forms, beta_forms = pending.pop(0)
+        return np.zeros(len(h)), alpha_forms, lambda qs: (np.zeros(len(h)), beta_forms)
+
+    with mock.patch.object(steppers, "_gauss2_coefficients", coefficients), \
+            mock.patch.object(steppers, "KERNEL_BLOCK", 1):
+        admitted = kernel_values("gauss2", problem, build_uniform_mesh(len(blocks))) is not None
+    assert not pending
+    if admitted:
+        assert old_headroom_admits(abs(y0), blocks)
+    values = np.concatenate([f for forms in blocks for part in forms for f in part])
+    if np.all(np.abs(values) < 2.0**500) and abs(y0) <= 2.0**480:
+        assert admitted
+
+
+class TestHeadroom:
+    """Runs at the edge of the squared-norm clause, on a uniform mesh of
+    KERNEL_MIN_INTERVALS = 128 intervals with constant p and q = 1 (scalar
+    results, which the kernel broadcasts).  Where a form's
+    squared norm overflows (|p| = 2^515 with h*p = -1/4, or gauss2's alpha
+    forms at |p| = 2^500 with h*p = -2^14, about 2^512.2), the clause of
+    max and min per form had admitted the run by a wide margin; now the
+    scalar driver runs it, bit for bit the oracle.  At |p| = 2^300 the
+    kernel still runs, with one p and one q array call per block."""
+
+    N = 128
+
+    @pytest.mark.parametrize("scheme, p, end", [
+        ("heun", -2.0**515, 2.0**-510),
+        ("rk3_a", -2.0**515, 2.0**-510),
+        ("gauss2", -2.0**500, 2.0**-479),
+    ], ids=["heun", "rk3_a", "gauss2"])
+    def test_forms_that_square_past_the_largest_double_take_the_scalar_driver(self, scheme, p, end):
+        problem = counted_linear_problem([], p=lambda x: p, q=lambda x: 1.0, end=end)
+        mesh = build_uniform_mesh(self.N, (0.0, end))
+        want = oracle(scheme, problem, mesh)
+        tableau = named_tableau(scheme)
+        _, (_, _, alpha_forms, beta_forms) = kernel_forms(tableau, problem, mesh.nodes[:-1], mesh.widths)
+        assert max(np.vdot(f, f) for f in alpha_forms) == math.inf
+        assert old_headroom_admits(np.abs(want).max() * 2.0, [(alpha_forms, beta_forms)])
+        assert kernel_values(scheme, problem, mesh) is None
+        assert integrate(scheme, problem, mesh).values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("scheme, end", [("heun", 2.0**-295), ("gauss2", 2.0**-279)], ids=["heun", "gauss2"])
+    def test_forms_below_the_square_root_of_the_largest_double_take_the_kernel(self, scheme, end):
+        calls = []
+        problem = counted_linear_problem(calls, p=lambda x: -2.0**300, q=lambda x: 1.0, end=end)
+        mesh = build_uniform_mesh(self.N, (0.0, end))
+        calls.clear()  # the spot-check of Problem's linear form
+        got = integrate(scheme, problem, mesh).values
+        stages = named_tableau(scheme).stages
+        assert calls == [("p", (stages * self.N,)), ("q", (stages * self.N,))]
+        assert kernel_values(scheme, problem, mesh) is not None
+        want = oracle(scheme, problem, mesh)
+        assert np.abs(got - want).max() <= ulp_bound(want)
 
 
 class TestScan:
