@@ -162,6 +162,8 @@ def gauss2_linear_step(
             raise StageEvaluationError(
                 f"non-finite Gauss step result at x={x_i!r}, h={h_i!r}"
             )
+        if math.isinf(denom):  # p1*p2 overflowed: the result would read y_i
+            raise StageEvaluationError(f"non-finite Gauss stage determinant at x={x_i!r}, h={h_i!r}")
         return result
 
 
@@ -394,7 +396,7 @@ def _gauss2_steps(y, rows, out):
     try:
         for h, p1, q1, p2, q2 in rows:
             denom = _gauss2_determinant(p1, p2, h)
-            if abs(denom) <= SINGULAR_DENOMINATOR_TOL:
+            if not SINGULAR_DENOMINATOR_TOL < abs(denom) < math.inf:
                 break
             numer = (p1 * y + q1) * (1.0 + p2 * g * h) + (p2 * y + q2) * (1.0 - p1 * g * h)
             y_next = y + 0.5 * h * numer / denom

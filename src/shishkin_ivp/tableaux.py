@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 #: Tolerance for the order-condition residuals.
 ORDER_CONDITION_TOL = 1e-14
 
-#: Tolerance for the structural tableau invariants (weight sum, row sums).
+#: Tolerance for the weight sum, sum_j b_j = 1.
 TABLEAU_TOL = 1e-15
 
 #: Gauss-Legendre two-stage node offset.
@@ -19,54 +19,41 @@ GAUSS2_GAMMA = math.sqrt(3.0) / 6.0
 
 @dataclass(frozen=True)
 class ButcherTableau:
-    """Coefficient arrays (A, b, c) of an s-stage Runge-Kutta scheme.
+    """Coefficient arrays (A, b) of an s-stage Runge-Kutta scheme, and what
+    they decide (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.1):
+    ``stages`` s = len(b), the nodes ``c`` as A's row sums, c_j = sum_q a_jq,
+    and ``explicit``, true iff A is strictly lower triangular.
 
-    Construction enforces weight-sum and row-sum consistency; pass
-    ``check=False`` to build a deliberately inconsistent tableau, e.g. to
-    exercise the order-condition report.
+    Construction checks the shapes and that the weights sum to 1.
     """
 
-    stages: int
     a: np.ndarray
     b: np.ndarray
-    c: np.ndarray
-    explicit: bool
     name: str = ""
-    check: InitVar[bool] = True
 
-    def __post_init__(self, check: bool):
+    def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
         b = np.asarray(self.b, dtype=float)
-        c = np.asarray(self.c, dtype=float)
-        s = self.stages
-        if s < 1 or a.shape != (s, s) or b.shape != (s,) or c.shape != (s,):
-            raise ValueError(f"inconsistent tableau shapes for {s} stages")
-        strictly_lower = all(a[j, q] == 0.0 for j in range(s) for q in range(j, s))
-        if self.explicit != strictly_lower:
-            raise ValueError("explicit flag does not match the coefficient structure")
+        s = b.size
+        if s < 1 or b.shape != (s,) or a.shape != (s, s):
+            raise ValueError(f"inconsistent tableau shapes: a {a.shape}, b {b.shape}")
+        if abs(float(np.sum(b)) - 1.0) > TABLEAU_TOL:
+            raise ValueError(f"weights must sum to 1, got {np.sum(b)!r}")
+        c = a.sum(axis=1)
         for name, arr in (("a", a), ("b", b), ("c", c)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "stages", s)
+        object.__setattr__(self, "explicit", not np.triu(a).any())
         object.__setattr__(self, "_lists", (a.tolist(), b.tolist(), c.tolist()))  # for the steppers
-        if check:
-            if abs(float(np.sum(b)) - 1.0) > TABLEAU_TOL:
-                raise ValueError(f"weights must sum to 1, got {np.sum(b)!r}")
-            row_gap = np.abs(c - a.sum(axis=1))
-            if np.any(row_gap > TABLEAU_TOL):
-                raise ValueError(
-                    "row-sum consistency c_j = sum_q a_jq violated "
-                    f"by {row_gap.max():.3e}"
-                )
 
 
 def _explicit(name: str, a_rows: list[list[float]], b: list[float]) -> ButcherTableau:
-    """An explicit tableau from the rows of A below the diagonal; its nodes
-    are A's row sums, c_j = sum_q a_jq, the rule construction checks."""
-    s = len(b)
-    a = np.zeros((s, s))
+    """An explicit tableau from the rows of A below the diagonal."""
+    a = np.zeros((len(b), len(b)))
     for j, row in enumerate(a_rows):
         a[j, : len(row)] = row
-    return ButcherTableau(stages=s, a=a, b=np.array(b), c=a.sum(axis=1), explicit=True, name=name)
+    return ButcherTableau(a, b, name)
 
 
 #: The named schemes in roster order, with the classical order each must satisfy.
@@ -77,9 +64,7 @@ _ROSTER = (
     (3, _explicit("rk3_a", [[], [0.5], [0.0, 0.75]], [2.0 / 9.0, 3.0 / 9.0, 4.0 / 9.0])),
     (3, _explicit("rk3_kutta", [[], [0.5], [-1.0, 2.0]], [1.0 / 6.0, 4.0 / 6.0, 1.0 / 6.0])),
     (3, ButcherTableau(
-        stages=2, a=np.array([[0.25, 0.25 - GAUSS2_GAMMA], [0.25 + GAUSS2_GAMMA, 0.25]]),
-        b=np.array([0.5, 0.5]), c=np.array([0.5 - GAUSS2_GAMMA, 0.5 + GAUSS2_GAMMA]),
-        explicit=False, name="gauss2",
+        [[0.25, 0.25 - GAUSS2_GAMMA], [0.25 + GAUSS2_GAMMA, 0.25]], [0.5, 0.5], "gauss2"
     )),
 )
 _NAMED = {tableau.name: tableau for _, tableau in _ROSTER}

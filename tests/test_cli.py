@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import gc
+import hashlib
 import importlib.util
 import io
 import os
@@ -303,6 +304,19 @@ class TestStabilityCommand:
         fields = dict(part.split("=") for part in out.split())
         assert int(fields["oscillations"]) >= 3
         assert float(fields["max_error"]) > float("1e-3")
+
+    def test_overflowing_gauss_determinant_fails_loudly(self, capsys):
+        """At eps = 2^-515 layer1's p1*p2 overflows in the Gauss stage
+        determinant, which would leave y unchanged and read a finite
+        max_error; the run fails instead, and prints no report line."""
+        args = ["stability", "--problem", "layer1", "--scheme", "gauss2",
+                "--mesh", "shishkin", "--n-intervals", "1024"]
+        code, out, err = run_cli(args + ["--eps", "2^-515"], capsys)
+        assert (code, out) == (EXIT_NUMERICAL, "")
+        assert err.startswith("numerical failure: step 576 failed: non-finite Gauss stage determinant")
+        code, out, _ = run_cli(args + ["--eps", "2^-500"], capsys)
+        assert code == EXIT_OK
+        assert out.split()[-1] == "max_error=9.5379887743440861e-07"
 
 
 class TestOutputHandling:
@@ -623,3 +637,51 @@ def test_matches_benchmark_golden(key, capsys):
     code, out, err = run_cli(key.split(), capsys)
     assert err == ""
     assert golden.check_cli((code, out.encode()), CLI_GOLDENS[key]) is None
+
+
+class TestByteContract:
+    """The stdout bytes of fifteen CLI runs (solve and mesh at N = 2^15..2^17,
+    a sweep, a stability line), each in a fresh ``python -m`` process, by
+    their sha256: a change that moves one byte of any of them fails here."""
+
+    CASES = [
+        (["solve", "--problem", "layer1", "--scheme", scheme, "--n-intervals", str(2**k),
+          "--eps", "2^-8"], digest)
+        for scheme, digests in (
+            ("heun", ("906b8224ede69e0a9d31db562fcaf800b4c145a64d36c86620250c23e3a05768",
+                      "761864abc28b9666ca5e0cb0fe846db62623cf5398652957e549fb4ebbe29831",
+                      "9aa9aa11f48d3cf51e9f145689efa18d329dffbe9b6d94f7847637734fd2d0f5")),
+            ("rk3_a", ("42c82bce8ffae5ae6a9a8c1311cd34816ea7556803afcc412eba30cfddd73b09",
+                       "cfbeab3e33c723207f2dd9f5a93a51571208b9fa6c9a16bf8c4d1958a3b021d7",
+                       "59526417f153018b0f0275ae661391e8e4abe83dadfa3a8517d26e469155a83b")),
+            ("gauss2", ("859b0d5093e1efb87d3c8881778689e0a9861bb9da495e04038a268708dde142",
+                        "7493f06816b2fa6c28c3b4ebc65bc6186fcf5f2276b97b047f6a3c0d3db6ca9e",
+                        "20a530525ba2bcceec7331df9677662bc48cbca3821e20dd92103a766580a540")),
+        )
+        for k, digest in zip((15, 16, 17), digests)
+    ] + [
+        (["mesh", "--mesh", "shishkin", "--n-intervals", str(2**k), "--eps", "2^-8"], digest)
+        for k, digest in zip((15, 16, 17), (
+            "be09fb0284fcb5d0b599215c2f3dd54a9900e9f06dd945c1cdc82bf3bb476c39",
+            "1e7c40ae7d6be9f1dd9c812b78a2b62b6dbe192977442a67a0dca77ee43b93cd",
+            "ba70aa7df4955f4b612f5193e437bb9f62dc6e8f84a3d6068214af6e4b8c561d",
+        ))
+    ] + [
+        (["mesh", "--mesh", "uniform", "--n-intervals", str(2**16)],
+         "fb4b576c5cda0de7e0f1c10dfa07657bddbff9e4469f0ebad618225d640ff4e5"),
+        (["sweep", "--problem", "layer1", "--scheme", "heun", "--eps", "2^-4,2^-6,2^-8",
+          "--kmin", "8", "--kmax", "12", "--format", "md"],
+         "f42c46e170da7be0d99ab85a2e810d8af9f967358892a9ab9346489ff0f16164"),
+        (["stability", "--problem", "layer1", "--scheme", "gauss2", "--mesh", "uniform",
+          "--n-intervals", "32", "--eps", "2^-7.225"],
+         "1f9fd96bf5f21615e076c683723050159cd3822c912aa4a5fa9224d926f4135d"),
+    ]
+
+    IDS = ["-".join(arg for arg in args if not arg.startswith("--")) for args, _ in CASES]
+
+    @pytest.mark.parametrize("args, digest", CASES, ids=IDS)
+    def test_stdout_sha256(self, args, digest):
+        proc = subprocess.run([sys.executable, "-m", "shishkin_ivp.cli", *args],
+                              capture_output=True, env=_child_env())
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest

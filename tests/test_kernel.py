@@ -372,6 +372,30 @@ class TestGate:
         assert kernel_values("gauss2", problem, mesh) is None
         assert check_against_oracle("gauss2", problem, mesh) == "raised"
 
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_overflowing_gauss_determinant_is_the_oracle_failure(self, n):
+        """Constant p = -2^515 on [0, 2^-510]: p*h stays small, but p1*p2
+        overflows, so the Gauss determinant is infinite and the step would
+        return y unchanged.  The scalar driver (N = 64) and a mesh whose
+        block the kernel's headroom declines (N = 128) both raise the
+        oracle's error at step 0."""
+        p = -(2.0**515)
+        problem = Problem(
+            epsilon=1.0,
+            x0=0.0,
+            y0=1.0,
+            domain_end=2.0**-510,
+            rhs=lambda x, y: p * y,
+            linear=(lambda x: p + 0.0 * x, lambda x: 0.0 * x),
+            label="overflowing-determinant",
+        )
+        mesh = build_uniform_mesh(n, (0.0, 2.0**-510))
+        assert kernel_values("gauss2", problem, mesh) is None
+        assert check_against_oracle("gauss2", problem, mesh) == "raised"
+        with pytest.raises(StageEvaluationError) as raised:
+            integrate("gauss2", problem, mesh)
+        assert str(raised.value).startswith("step 0 failed: non-finite Gauss stage determinant")
+
     def test_overflow_in_a_zero_weight_stage_is_the_oracle_failure(self):
         """rk2_midpoint gives stage 1 weight 0, so D and S never see its
         slope p*y = 1e300 * 1e10, which overflows in the scalar step."""

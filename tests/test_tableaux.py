@@ -10,6 +10,8 @@ from shishkin_ivp import (
     NOMINAL_ORDER,
     SCHEME_NAMES,
     ButcherTableau,
+    explicit_rk_step,
+    make_builtin,
     named_tableau,
     verify_order_conditions,
 )
@@ -127,19 +129,13 @@ class TestVerifyOrderConditions:
         assert len(report) == 4
         assert all(cond.passed for cond in report)
 
-    def test_tampered_weights_fail(self):
-        tampered = ButcherTableau(
-            stages=2,
-            a=np.array([[0.0, 0.0], [1.0, 0.0]]),
-            b=np.array([0.6, 0.5]),
-            c=np.array([0.0, 1.0]),
-            explicit=True,
-            name="tampered",
-            check=False,
-        )
-        report = verify_order_conditions(tampered, 1)
-        assert not report[0].passed
-        assert report[0].residual == pytest.approx(0.1, rel=1e-12)
+    def test_second_order_scheme_fails_third_order(self):
+        """heun is consistent but only second order: sum(b*c^2) = 1/2 and
+        sum(b*(A@c)) = 0 each miss their third-order value by 1/6."""
+        report = verify_order_conditions(named_tableau("heun"), 3)
+        assert [cond.passed for cond in report] == [True, True, False, False]
+        assert report[2].residual == pytest.approx(1.0 / 6.0, rel=1e-12)
+        assert report[3].residual == pytest.approx(1.0 / 6.0, rel=1e-12)
 
     def test_order_out_of_range(self):
         with pytest.raises(ValueError):
@@ -147,42 +143,52 @@ class TestVerifyOrderConditions:
 
 
 class TestConstruction:
+    #: Each named scheme's stages, nodes and explicit flag as given before
+    #: they were derived from A, to the bit.
+    DECLARED = {
+        "heun": (2, [0.0, 1.0], True),
+        "rk2_ralston": (2, [0.0, 0.6666666666666666], True),
+        "rk2_midpoint": (2, [0.0, 0.5], True),
+        "rk3_a": (3, [0.0, 0.5, 0.75], True),
+        "rk3_kutta": (3, [0.0, 0.5, 1.0], True),
+        "gauss2": (2, [0.21132486540518713, 0.7886751345948129], False),
+    }
+
+    @pytest.mark.parametrize("name", SCHEME_NAMES)
+    def test_derived_fields_are_the_declared_ones(self, name):
+        t = named_tableau(name)
+        stages, c, explicit = self.DECLARED[name]
+        assert (t.stages, t.c.tolist(), t.explicit) == (stages, c, explicit)
+        assert t._lists == (t.a.tolist(), t.b.tolist(), c)
+
+    def test_implicit_midpoint(self):
+        t = ButcherTableau(a=[[0.5]], b=[1.0])
+        assert t.stages == 1
+        assert t.c.tolist() == [0.5]
+        assert t.explicit is False
+        with pytest.raises(ValueError, match="implicit"):
+            explicit_rk_step(t, make_builtin("decay", 1.0), 0.0, 1.0, 0.5)
+
+    def test_strictly_lower_three_stage_is_explicit(self):
+        t = ButcherTableau(a=[[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [-1.0, 2.0, 0.0]],
+                           b=[1.0 / 6.0, 4.0 / 6.0, 1.0 / 6.0])
+        assert t.stages == 3
+        assert t.c.tolist() == [0.0, 0.5, 1.0]
+        assert t.explicit is True
+
     def test_checked_construction_rejects_bad_weights(self):
         with pytest.raises(ValueError, match="sum to 1"):
-            ButcherTableau(
-                stages=2,
-                a=np.array([[0.0, 0.0], [1.0, 0.0]]),
-                b=np.array([0.6, 0.5]),
-                c=np.array([0.0, 1.0]),
-                explicit=True,
-            )
-
-    def test_checked_construction_rejects_bad_row_sums(self):
-        with pytest.raises(ValueError, match="row-sum"):
-            ButcherTableau(
-                stages=2,
-                a=np.array([[0.0, 0.0], [0.5, 0.0]]),
-                b=np.array([0.5, 0.5]),
-                c=np.array([0.0, 1.0]),
-                explicit=True,
-            )
-
-    def test_explicit_flag_must_match_structure(self):
-        with pytest.raises(ValueError, match="explicit flag"):
-            ButcherTableau(
-                stages=2,
-                a=np.array([[0.25, 0.25], [0.25, 0.25]]),
-                b=np.array([0.5, 0.5]),
-                c=np.array([0.5, 0.5]),
-                explicit=True,
-            )
+            ButcherTableau(a=np.array([[0.0, 0.0], [1.0, 0.0]]), b=np.array([0.6, 0.5]))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shapes"):
-            ButcherTableau(
-                stages=3,
-                a=np.zeros((2, 2)),
-                b=np.array([0.5, 0.5]),
-                c=np.array([0.0, 1.0]),
-                explicit=True,
-            )
+            ButcherTableau(a=np.zeros((2, 2)), b=np.array([0.25, 0.25, 0.5]))
+
+    @pytest.mark.parametrize("a, b", [
+        ([[0.0, 0.0], [1.0, 0.0]], [[0.5, 0.5]]),
+        ([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]], [0.5, 0.5]),
+        ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [0.5, 0.5]),
+    ], ids=["b-2d", "a-3x2", "a-2x3"])
+    def test_bad_shapes(self, a, b):
+        with pytest.raises(ValueError, match="shapes"):
+            ButcherTableau(a=a, b=b)
