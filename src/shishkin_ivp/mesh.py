@@ -72,7 +72,7 @@ class ShishkinParams:
         _fine_intervals(self.n_intervals, self.split, SIGMA_CAP)  # any sigma in range
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh:
     """Ordered nodes x_0 < ... < x_N with per-interval widths.
 

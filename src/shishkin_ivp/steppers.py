@@ -60,7 +60,7 @@ class SingularStepError(ArithmeticError):
     """The linear Gauss step hit a (near-)singular stage system."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Numerical solution values at the nodes of a mesh."""
 
@@ -341,31 +341,25 @@ def _affine_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
 
 # The straight-line steps: the step functions' arithmetic for checked steps,
 # the explicit sums from their first term, not from +0.0 (README).  Each runs
-# the rows of _rows, appends every result to ``out`` and returns the last y.
-# It stops before a step whose row or callback raises, whose result is not
-# finite (an explicit one is whenever a stage slope is), from y = -0.0
-# (explicit: the one y the +0.0 can change) or with a singular stage system
-# (Gauss); the step function then redoes it.
+# the rows of _rows, appends every result to ``out``, and returns before a
+# step it cannot take: a non-finite result (explicit: whenever a stage slope
+# is), y = -0.0 (explicit: the one y the +0.0 can change) or a singular or
+# infinite Gauss determinant.  A raising row or callback propagates.
 
 
 def _two_stage_steps(f, a, b, y, rows, out):
     a21 = a[1][0]
     b1, b2 = b
     isfinite = math.isfinite
-    try:
-        for h, x1, x2 in rows:
-            if not y and math.copysign(1.0, y) < 0.0:
-                break
-            k1 = f(x1, y)
-            k2 = f(x2, y + h * (a21 * k1))
-            y_next = y + h * (b1 * k1 + b2 * k2)
-            if not isfinite(y_next):
-                break
-            out.append(y_next)
-            y = y_next
-    except Exception:  # re-raised by explicit_rk_step on hand-off
-        pass
-    return y
+    for h, x1, x2 in rows:
+        if not y and math.copysign(1.0, y) < 0.0:
+            return
+        k1 = f(x1, y)
+        k2 = f(x2, y + h * (a21 * k1))
+        y = y + h * (b1 * k1 + b2 * k2)
+        if not isfinite(y):
+            return
+        out.append(y)
 
 
 def _three_stage_steps(f, a, b, y, rows, out):
@@ -373,40 +367,30 @@ def _three_stage_steps(f, a, b, y, rows, out):
     a31, a32 = a[2][:2]
     b1, b2, b3 = b
     isfinite = math.isfinite
-    try:
-        for h, x1, x2, x3 in rows:
-            if not y and math.copysign(1.0, y) < 0.0:
-                break
-            k1 = f(x1, y)
-            k2 = f(x2, y + h * (a21 * k1))
-            k3 = f(x3, y + h * (a31 * k1 + a32 * k2))
-            y_next = y + h * (b1 * k1 + b2 * k2 + b3 * k3)
-            if not isfinite(y_next):
-                break
-            out.append(y_next)
-            y = y_next
-    except Exception:  # re-raised by explicit_rk_step on hand-off
-        pass
-    return y
+    for h, x1, x2, x3 in rows:
+        if not y and math.copysign(1.0, y) < 0.0:
+            return
+        k1 = f(x1, y)
+        k2 = f(x2, y + h * (a21 * k1))
+        k3 = f(x3, y + h * (a31 * k1 + a32 * k2))
+        y = y + h * (b1 * k1 + b2 * k2 + b3 * k3)
+        if not isfinite(y):
+            return
+        out.append(y)
 
 
 def _gauss2_steps(y, rows, out):
     g = GAUSS2_GAMMA
     isfinite = math.isfinite
-    try:
-        for h, p1, q1, p2, q2 in rows:
-            denom = _gauss2_determinant(p1, p2, h)
-            if not SINGULAR_DENOMINATOR_TOL < abs(denom) < math.inf:
-                break
-            numer = (p1 * y + q1) * (1.0 + p2 * g * h) + (p2 * y + q2) * (1.0 - p1 * g * h)
-            y_next = y + 0.5 * h * numer / denom
-            if not isfinite(y_next):
-                break
-            out.append(y_next)
-            y = y_next
-    except Exception:  # re-raised by gauss2_linear_step on hand-off
-        pass
-    return y
+    for h, p1, q1, p2, q2 in rows:
+        denom = _gauss2_determinant(p1, p2, h)
+        if not SINGULAR_DENOMINATOR_TOL < abs(denom) < math.inf:
+            return
+        numer = (p1 * y + q1) * (1.0 + p2 * g * h) + (p2 * y + q2) * (1.0 - p1 * g * h)
+        y = y + 0.5 * h * numer / denom
+        if not isfinite(y):
+            return
+        out.append(y)
 
 
 def _rows(tableau: ButcherTableau, problem: Problem, widths, stage_x):
@@ -433,8 +417,9 @@ def _scalar_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
     """Node values bit for bit those of one step function call per
     interval (``explicit_rk_step``, or ``gauss2_linear_step`` for gauss2):
     per block, up to its first interval that fails _step_checks, steps run
-    straight-line from one row iterator; a step the loop stops at goes to
-    the step function, and the loop resumes after it (a failed interval
+    straight-line from one row iterator.  The loop returns before a step it
+    cannot take, or raises in it; here, the one place that catches, that step
+    goes to the step function, and the loop resumes after it (a failed interval
     raises there, or, at h = 0 for gauss2, leaves the rest of its block to
     the step function).  The named explicit tableaux have 2 or 3 stages."""
     a, b, c = tableau._lists
@@ -454,14 +439,19 @@ def _scalar_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
             stop = hi if failed is None else lo + failed
             rows = _rows(tableau, problem, widths[lo:stop], stage_x)
             block = []
-            y = steps(y, rows, block)
-            while (i := lo + len(block)) < hi:
+            while True:
+                try:
+                    steps(y, rows, block)
+                except Exception:  # the step function redoes the step
+                    pass
+                y = block[-1] if block else y
+                if (i := lo + len(block)) == hi:
+                    break
                 try:
                     y = step(problem, float(nodes[i]), y, float(widths[i]))
                 except (StageEvaluationError, SingularStepError) as exc:
                     raise type(exc)(f"step {i} failed: {exc}") from exc
                 block.append(y)
-                y = steps(y, rows, block)
             values[lo + 1 : hi + 1] = block
     return values
 

@@ -17,7 +17,7 @@ TABLEAU_TOL = 1e-15
 GAUSS2_GAMMA = math.sqrt(3.0) / 6.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ButcherTableau:
     """Coefficient arrays (A, b) of an s-stage Runge-Kutta scheme, and what
     they decide (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.1):
@@ -48,24 +48,16 @@ class ButcherTableau:
         object.__setattr__(self, "_lists", (a.tolist(), b.tolist(), c.tolist()))  # for the steppers
 
 
-def _explicit(name: str, a_rows: list[list[float]], b: list[float]) -> ButcherTableau:
-    """An explicit tableau from the rows of A below the diagonal."""
-    a = np.zeros((len(b), len(b)))
-    for j, row in enumerate(a_rows):
-        a[j, : len(row)] = row
-    return ButcherTableau(a, b, name)
-
-
 #: The named schemes in roster order, with the classical order each must satisfy.
 _ROSTER = (
-    (2, _explicit("heun", [[], [1.0]], [0.5, 0.5])),
-    (2, _explicit("rk2_ralston", [[], [2.0 / 3.0]], [0.25, 0.75])),
-    (2, _explicit("rk2_midpoint", [[], [0.5]], [0.0, 1.0])),
-    (3, _explicit("rk3_a", [[], [0.5], [0.0, 0.75]], [2.0 / 9.0, 3.0 / 9.0, 4.0 / 9.0])),
-    (3, _explicit("rk3_kutta", [[], [0.5], [-1.0, 2.0]], [1.0 / 6.0, 4.0 / 6.0, 1.0 / 6.0])),
-    (3, ButcherTableau(
-        [[0.25, 0.25 - GAUSS2_GAMMA], [0.25 + GAUSS2_GAMMA, 0.25]], [0.5, 0.5], "gauss2"
-    )),
+    (2, ButcherTableau([[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5], "heun")),
+    (2, ButcherTableau([[0.0, 0.0], [2.0 / 3.0, 0.0]], [0.25, 0.75], "rk2_ralston")),
+    (2, ButcherTableau([[0.0, 0.0], [0.5, 0.0]], [0.0, 1.0], "rk2_midpoint")),
+    (3, ButcherTableau([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.75, 0.0]],
+                       [2.0 / 9.0, 3.0 / 9.0, 4.0 / 9.0], "rk3_a")),
+    (3, ButcherTableau([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [-1.0, 2.0, 0.0]],
+                       [1.0 / 6.0, 4.0 / 6.0, 1.0 / 6.0], "rk3_kutta")),
+    (3, ButcherTableau([[0.25, 0.25 - GAUSS2_GAMMA], [0.25 + GAUSS2_GAMMA, 0.25]], [0.5, 0.5], "gauss2")),
 )
 _NAMED = {tableau.name: tableau for _, tableau in _ROSTER}
 SCHEME_NAMES = tuple(_NAMED)

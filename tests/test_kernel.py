@@ -1612,16 +1612,18 @@ class TestScalarDriver:
     @pytest.mark.usefixtures("small_blocks")
     @pytest.mark.parametrize("scheme", EXPLICIT_SCHEMES)
     def test_failing_rhs_at_a_chosen_step(self, scheme, bad):
-        """rhs fails from the second stage of step 5 on (in the second
-        kernel block): StageEvaluationError, with the oracle's message."""
+        """rhs fails from the second stage of step i on, for i the last
+        step of the first kernel block, the first of the second and step 5
+        of the second, so y crosses the block edge next to a hand-off:
+        StageEvaluationError, with the oracle's message."""
         mesh = build_uniform_mesh(TEST_BLOCK + 16)
         c2 = named_tableau(scheme).c[1]
-        i = TEST_BLOCK + 5
-        x_bad = mesh.nodes[i] + c2 * mesh.widths[i]
-        problem = custom(lambda x, y: bad() if x >= x_bad else -y)
-        assert check_bit_identical(scheme, problem, mesh) == "raised"
-        with pytest.raises(StageEvaluationError, match=f"^step {i} failed: stage 2 "):
-            integrate(scheme, problem, mesh)
+        for i in (TEST_BLOCK - 1, TEST_BLOCK, TEST_BLOCK + 5):
+            x_bad = mesh.nodes[i] + c2 * mesh.widths[i]
+            problem = custom(lambda x, y: bad() if x >= x_bad else -y)
+            assert check_bit_identical(scheme, problem, mesh) == "raised"
+            with pytest.raises(StageEvaluationError, match=f"^step {i} failed: stage 2 "):
+                integrate(scheme, problem, mesh)
 
     @pytest.mark.parametrize("scheme", EXPLICIT_SCHEMES)
     def test_other_exceptions_propagate_unchanged(self, scheme):

@@ -1,5 +1,6 @@
 """Tests for the explicit driver, the closed-form Gauss step and integrate."""
 
+import dataclasses
 import math
 import warnings
 
@@ -8,6 +9,8 @@ import pytest
 
 from shishkin_ivp import (
     GAUSS2_GAMMA,
+    ButcherTableau,
+    Mesh,
     Problem,
     SingularStepError,
     StageEvaluationError,
@@ -274,6 +277,26 @@ class TestIntegrate:
         mesh = build_uniform_mesh(8)
         with pytest.raises(ValueError, match="one value per mesh node required"):
             Trajectory(mesh=mesh, values=np.zeros(8), scheme_id="heun", problem_id="p")
+
+    @pytest.mark.parametrize("cls, field", [(ButcherTableau, "name"), (Mesh, "kind"), (Trajectory, "scheme_id")])
+    def test_array_holders_compare_by_identity(self, cls, field):
+        """Equal but distinct instances of a dataclass that holds arrays
+        compare unequal, where comparing their arrays would raise; each
+        equals itself, hashes, and dataclasses.replace still makes one."""
+        mesh = build_uniform_mesh(4)
+        make = {
+            ButcherTableau: lambda: ButcherTableau([[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5], "heun"),
+            Mesh: lambda: Mesh(nodes=mesh.nodes.copy(), widths=mesh.widths.copy(), kind="uniform"),
+            Trajectory: lambda: Trajectory(mesh=mesh, values=np.zeros(5), scheme_id="heun", problem_id="p"),
+        }[cls]
+        first, second = make(), make()
+        assert first == first and not first != first
+        assert first != second and not first == second
+        assert first in [second, first] and first not in [second]
+        assert len({first, second, first}) == 2
+        renamed = dataclasses.replace(first, **{field: "renamed"})
+        assert type(renamed) is cls and getattr(renamed, field) == "renamed"
+        assert renamed != first
 
     def test_trajectory_metadata(self):
         problem = make_builtin("layer1", 0.25)

@@ -154,10 +154,25 @@ class TestConstruction:
         "gauss2": (2, [0.21132486540518713, 0.7886751345948129], False),
     }
 
+    #: Each named scheme's A and b as built before the roster wrote every
+    #: A in full, to the bit.
+    COEFFICIENTS = {
+        "heun": ([[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5]),
+        "rk2_ralston": ([[0.0, 0.0], [0.6666666666666666, 0.0]], [0.25, 0.75]),
+        "rk2_midpoint": ([[0.0, 0.0], [0.5, 0.0]], [0.0, 1.0]),
+        "rk3_a": ([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.75, 0.0]],
+                  [0.2222222222222222, 0.3333333333333333, 0.4444444444444444]),
+        "rk3_kutta": ([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [-1.0, 2.0, 0.0]],
+                      [0.16666666666666666, 0.6666666666666666, 0.16666666666666666]),
+        "gauss2": ([[0.25, -0.038675134594812866], [0.5386751345948129, 0.25]], [0.5, 0.5]),
+    }
+
     @pytest.mark.parametrize("name", SCHEME_NAMES)
     def test_derived_fields_are_the_declared_ones(self, name):
         t = named_tableau(name)
         stages, c, explicit = self.DECLARED[name]
+        a, b = self.COEFFICIENTS[name]
+        assert (t.a.tobytes(), t.b.tobytes()) == (np.array(a).tobytes(), np.array(b).tobytes())
         assert (t.stages, t.c.tolist(), t.explicit) == (stages, c, explicit)
         assert t._lists == (t.a.tolist(), t.b.tolist(), c)
 
