@@ -23,7 +23,7 @@ import numpy as np
 from . import convergence
 from .mesh import MESH_SHISHKIN, MESH_UNIFORM, Mesh, ShishkinParams
 from .problems import BUILTIN_NAMES, Problem, _check_epsilon, exact_eval, make_builtin
-from .steppers import Trajectory, integrate
+from .steppers import KERNEL_BLOCK, Trajectory, integrate
 from .tableaux import SCHEME_NAMES
 
 EXIT_OK = 0
@@ -69,10 +69,6 @@ def parse_epsilon(text: str) -> float:
 def _fmt17(x: float) -> str:
     return f"{x:.17g}"
 
-
-#: Rows per block of the CSV writer: enough to amortise the numpy calls,
-#: few enough to keep the block's temporaries in cache.
-CSV_BLOCK = 16384
 
 #: Longest '%.17g' text of a double, as in -1.2345678901234567e-308.
 _CELL_WIDTH = 24
@@ -232,43 +228,42 @@ def _format17_cells(values: np.ndarray, out: np.ndarray, layouts: dict) -> None:
     out[order] = cells.view(out.dtype)[:, 0]
 
 
-def _csv_blocks(header: str, columns: list[np.ndarray], n_rows: int) -> Iterator[bytes]:
-    """The header line, then ``n_rows`` rows of the columns' values as
-    ``format(x, '.17g')``, as ASCII bytes: the header, then one block of
-    ``CSV_BLOCK`` rows at a time, each formatted as it is asked for.  A
-    column shorter than ``n_rows`` leaves its last cells empty.  Written
+def _csv_blocks(header: str, columns: list[np.ndarray]) -> Iterator[bytes]:
+    """The header line, then one row per entry of ``columns[0]``, of the
+    columns' values as ``format(x, '.17g')``, as ASCII bytes: the header,
+    then one block of ``KERNEL_BLOCK`` rows at a time, each formatted as it
+    is asked for.  A shorter column leaves its last cells empty.  Written
     column by column, with every number byte-identical to ``_fmt17``;
     the blocks and columns share their layouts."""
     layouts: dict[int, tuple[np.ndarray, list[list[int]]]] = {}
     yield header.encode() + b"\n"
-    for start in range(0, n_rows, CSV_BLOCK):
-        block = np.zeros((min(CSV_BLOCK, n_rows - start), len(columns), _CELL_WIDTH + 1), np.uint8)
+    n_rows = len(columns[0])
+    for start in range(0, n_rows, KERNEL_BLOCK):
+        block = np.zeros((min(KERNEL_BLOCK, n_rows - start), len(columns), _CELL_WIDTH + 1), np.uint8)
         block[:, :, -1] = ord(",")
         block[:, -1, -1] = ord("\n")
         # Each cell's bytes as one element, so rows move as single copies.
         cells = block[..., :-1].view(f"V{_CELL_WIDTH}")[..., 0]
         for j, column in enumerate(columns):
-            values = column[start : start + CSV_BLOCK]
+            values = column[start : start + KERNEL_BLOCK]
             if len(values):
                 _format17_cells(values, cells[: len(values), j], layouts)
         flat = block.reshape(-1)
         yield flat[flat != 0].tobytes()
 
 
-def _csv_text(header: str, columns: list[np.ndarray], n_rows: int) -> str:
+def _csv_text(header: str, columns: list[np.ndarray]) -> str:
     """``_csv_blocks`` joined into one string."""
-    return b"".join(_csv_blocks(header, columns, n_rows)).decode("ascii")
+    return b"".join(_csv_blocks(header, columns)).decode("ascii")
 
 
-def _mesh_table(mesh: Mesh) -> tuple[str, list[np.ndarray], int]:
+def _mesh_table(mesh: Mesh) -> tuple[str, list[np.ndarray]]:
     n = mesh.n_intervals
     index = np.arange(n + 1, dtype=float)  # '%.17g' prints these as str(i)
-    return "i,xi,x,h", [index, index / n, mesh.nodes, mesh.widths], n + 1
+    return "i,xi,x,h", [index, index / n, mesh.nodes, mesh.widths]
 
 
-def _solution_table(
-    trajectory: Trajectory, problem: Problem
-) -> tuple[str, list[np.ndarray], int]:
+def _solution_table(trajectory: Trajectory, problem: Problem) -> tuple[str, list[np.ndarray]]:
     nodes, values = trajectory.mesh.nodes, trajectory.values
     if problem.exact is None:
         exact = gaps = np.empty(0)
@@ -276,7 +271,7 @@ def _solution_table(
         exact = exact_eval(problem, nodes)
         with np.errstate(invalid="ignore"):
             gaps = np.abs(exact - values)
-    return "x,y_numeric,y_exact,abs_error", [nodes, values, exact, gaps], len(nodes)
+    return "x,y_numeric,y_exact,abs_error", [nodes, values, exact, gaps]
 
 
 def format_mesh_csv(mesh: Mesh) -> str:

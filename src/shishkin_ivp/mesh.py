@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import _check_epsilon, _unchecked
+from .problems import DOMAIN_TOL, _check_epsilon, _unchecked
 
 #: Saturation cap of the transition point: the layer piece never covers
 #: more than half of the domain.
@@ -23,10 +23,6 @@ SIGMA_CAP = 0.5
 
 MESH_UNIFORM = "uniform"
 MESH_SHISHKIN = "shishkin"
-
-#: Tolerance of the width / node-difference and sum-of-widths / node-span
-#: consistency checks on the unit interval; see width_tolerance.
-WIDTH_CONSISTENCY_ATOL = 1e-12
 
 #: While run_sweep runs: its cells' large arrays (``_array``), by slot, each
 #: made when first asked for, at the size of the sweep's largest cell.
@@ -251,10 +247,10 @@ def build_uniform_mesh(
 
 
 def width_tolerance(nodes: np.ndarray) -> float:
-    """WIDTH_CONSISTENCY_ATOL * max(1, |x_0|, |x_N|): absolute on the unit
+    """DOMAIN_TOL * max(1, |x_0|, |x_N|): absolute on the unit
     interval, relative beyond it, where every node, and so every node
     difference, carries rounding of the mesh's largest magnitude."""
-    return WIDTH_CONSISTENCY_ATOL * max(1.0, abs(nodes[0]), abs(nodes[-1]))
+    return DOMAIN_TOL * max(1.0, abs(nodes[0]), abs(nodes[-1]))
 
 
 def inconsistent_widths(nodes: np.ndarray, widths: np.ndarray) -> list[int]:

@@ -20,8 +20,8 @@ import numpy as np
 #: Names of the built-in test problems.
 BUILTIN_NAMES = ("decay", "layer1")
 
-#: Slack allowed when checking that an abscissa lies inside the domain,
-#: on the unit interval; see domain_slack.
+#: Slack of an abscissa on the unit interval: of the domain check (see
+#: domain_slack) and of a mesh's widths against its nodes (width_tolerance).
 DOMAIN_TOL = 1e-12
 
 

@@ -38,8 +38,9 @@ from .tableaux import GAUSS2_GAMMA, ButcherTableau, named_tableau
 #: Below this magnitude the Gauss-step denominator counts as singular.
 SINGULAR_DENOMINATOR_TOL = 1e-14
 
-#: Intervals per block, each paying ~55 fixed numpy calls in the kernel. At
-#: 16384 a block's freed temporaries are trimmed and faulted back in (README).
+#: Block length of the kernel (~55 fixed numpy calls a block), the scalar
+#: driver, max_error and the CSV writer. At 16384 a kernel block's freed
+#: temporaries are trimmed and faulted back in (README).
 KERNEL_BLOCK = 8192
 
 #: Meshes with fewer intervals skip the kernel and run the scalar driver,

@@ -418,7 +418,7 @@ class TestStreamedOutput:
     def test_bytes_match_the_format_functions(
         self, command, block, monkeypatch, tmp_path, capsysbinary
     ):
-        monkeypatch.setattr(cli, "CSV_BLOCK", block)
+        monkeypatch.setattr(cli, "KERNEL_BLOCK", block)
         expected = self.expected(command)
         assert main(self.args(command)) == EXIT_OK
         captured = capsysbinary.readouterr()

@@ -17,8 +17,8 @@ from shishkin_ivp import (
     transition_point,
     validate_mesh,
 )
-from shishkin_ivp.mesh import WIDTH_CONSISTENCY_ATOL, inconsistent_widths
-from shishkin_ivp.problems import _unchecked
+from shishkin_ivp.mesh import inconsistent_widths
+from shishkin_ivp.problems import DOMAIN_TOL, _unchecked
 
 
 def without_init(nodes, widths):
@@ -376,18 +376,18 @@ class TestValidateMesh:
         assert validate_mesh(mesh) == ["sum of widths deviates from node span by 2.700e-12"]
 
     def test_width_tolerance_on_the_unit_interval(self):
-        """For |x| <= 1 the tolerance is WIDTH_CONSISTENCY_ATOL itself."""
+        """For |x| <= 1 the tolerance is DOMAIN_TOL itself."""
         nodes = np.array([0.0, 0.5, 1.0])
         for offset, flagged in [(0.5e-12, []), (2e-12, [1])]:
             widths = np.array([0.5, 0.5 + offset])
             assert inconsistent_widths(nodes, widths) == flagged
-        assert np.abs(0.5 + 2e-12 - 0.5) > WIDTH_CONSISTENCY_ATOL
+        assert np.abs(0.5 + 2e-12 - 0.5) > DOMAIN_TOL
 
     def test_width_tolerance_scales_with_the_nodes(self):
         """Node differences on [0, 1e6] carry ~1e-10 of rounding, within
-        WIDTH_CONSISTENCY_ATOL * 1e6; a width off by 1e-3 is not."""
+        DOMAIN_TOL * 1e6; a width off by 1e-3 is not."""
         mesh = build_uniform_mesh(6, (0.0, 1e6))
-        assert np.abs(mesh.widths - np.diff(mesh.nodes)).max() > WIDTH_CONSISTENCY_ATOL
+        assert np.abs(mesh.widths - np.diff(mesh.nodes)).max() > DOMAIN_TOL
         assert validate_mesh(mesh, 0.0, 1e6) == []
         widths = mesh.widths.copy()
         widths[2] += 1e-3
@@ -457,7 +457,7 @@ class TestMeshInvariantProperty:
         assert np.all(mesh.widths > 0.0)
         assert mesh.nodes[0] == 0.0
         assert mesh.nodes[-1] == 1.0
-        assert abs(np.sum(mesh.widths) - 1.0) <= WIDTH_CONSISTENCY_ATOL
+        assert abs(np.sum(mesh.widths) - 1.0) <= DOMAIN_TOL
 
 
 def concatenated_shishkin(n_intervals, alpha, sigma):
