@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import DOMAIN_TOL, _check_epsilon, _unchecked
+from .problems import _check_epsilon, _unchecked, abscissa_slack
 
 #: Saturation cap of the transition point: the layer piece never covers
 #: more than half of the domain.
@@ -246,21 +246,14 @@ def build_uniform_mesh(
     return _built(nodes, widths, MESH_UNIFORM, None)
 
 
-def width_tolerance(nodes: np.ndarray) -> float:
-    """DOMAIN_TOL * max(1, |x_0|, |x_N|): absolute on the unit
-    interval, relative beyond it, where every node, and so every node
-    difference, carries rounding of the mesh's largest magnitude."""
-    return DOMAIN_TOL * max(1.0, abs(nodes[0]), abs(nodes[-1]))
-
-
 def inconsistent_widths(nodes: np.ndarray, widths: np.ndarray) -> list[int]:
     """The indices i at which widths[i] and the node difference
-    x_{i+1} - x_i differ by more than ``width_tolerance(nodes)``, or by nan."""
+    x_{i+1} - x_i differ by more than ``abscissa_slack(x_0, x_N)``, or by nan."""
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is nan: flagged
         gap = nodes[1:] - nodes[:-1]
         gap -= widths
     np.abs(gap, out=gap)
-    tolerance = width_tolerance(nodes)
+    tolerance = abscissa_slack(nodes[0], nodes[-1])
     if not gap.size or gap.max() <= tolerance:  # nan fails
         return []
     return np.flatnonzero(~(gap <= tolerance)).tolist()
@@ -296,6 +289,6 @@ def validate_mesh(
         report.append(f"nonpositive width at index {i}")
     report.extend(_width_mismatch(nodes, widths, i) for i in inconsistent_widths(nodes, widths))
     total = abs(float(np.sum(widths)) - (nodes[-1] - nodes[0]))
-    if total > width_tolerance(nodes):
+    if total > abscissa_slack(nodes[0], nodes[-1]):
         report.append(f"sum of widths deviates from node span by {total:.3e}")
     return report

@@ -20,8 +20,8 @@ import numpy as np
 #: Names of the built-in test problems.
 BUILTIN_NAMES = ("decay", "layer1")
 
-#: Slack of an abscissa on the unit interval: of the domain check (see
-#: domain_slack) and of a mesh's widths against its nodes (width_tolerance).
+#: Slack of an abscissa on the unit interval: of the domain check and of a
+#: mesh's widths against its nodes (see abscissa_slack).
 DOMAIN_TOL = 1e-12
 
 
@@ -63,8 +63,8 @@ class Problem:
             raise ValueError(
                 f"domain_end must exceed x0, got [{self.x0}, {self.domain_end}]"
             )
-        # domain_bounds, computed once: every domain check reads it.
-        slack = domain_slack(self)
+        # The domain widened by abscissa_slack, computed once: every domain check reads it.
+        slack = abscissa_slack(self.x0, self.domain_end)
         object.__setattr__(self, "_bounds", (self.x0 - slack, self.domain_end + slack))
         if self.exact is not None:
             y_start = self.exact(self.x0)
@@ -112,22 +112,15 @@ def _check_epsilon(epsilon: float):
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
 
 
-def domain_slack(problem: Problem) -> float:
-    """DOMAIN_TOL * max(1, |x0|, |domain_end|): absolute on the unit
-    interval, relative beyond it, where a mesh's last x + h carries
-    rounding of the domain's largest magnitude."""
-    return DOMAIN_TOL * max(1.0, abs(problem.x0), abs(problem.domain_end))
-
-
-def domain_bounds(problem: Problem) -> tuple[float, float]:
-    """The domain [x0, domain_end] widened by ``domain_slack`` at each end:
-    the abscissae at which the problem may be evaluated."""
-    return problem._bounds
+def abscissa_slack(a: float, b: float) -> float:
+    """The slack of an abscissa on [a, b]: absolute on the unit interval, relative beyond
+    it, where every x + h and node difference carries rounding of the largest magnitude."""
+    return DOMAIN_TOL * max(1.0, abs(a), abs(b))
 
 
 def _check_domain(problem: Problem, x: float, h: float | None = None):
-    """The domain rule: the point x, or the step [x, x + h], in domain_bounds."""
-    lo, hi = domain_bounds(problem)
+    """The domain rule: the point x, or the step [x, x + h], in ``problem._bounds``."""
+    lo, hi = problem._bounds
     if lo <= x and (x if h is None else x + h) <= hi:  # nan fails
         return
     domain = f"[{problem.x0}, {problem.domain_end}]"

@@ -27,9 +27,8 @@ from .problems import (
     _check_domain,
     _trusted_linear,
     _unchecked,
+    abscissa_slack,
     array_eval,
-    domain_bounds,
-    domain_slack,
     linear_coeffs_eval,
     rhs_eval,
 )
@@ -175,7 +174,7 @@ def _step_checks(problem: Problem, c, x, h):
     stage abscissa inside the domain (the checks of the step functions and
     rhs_eval, with h = 0 left to gauss2_linear_step).  It relies on
     0 <= c_j <= 1, true of every named tableau (README.md).  A nan fails."""
-    lo, hi = domain_bounds(problem)
+    lo, hi = problem._bounds
     stage_x = np.empty((len(c), len(x)))
     end = None
     for j, c_j in enumerate(c):
@@ -481,7 +480,7 @@ def integrate(scheme: str, problem: Problem, mesh: Mesh) -> Trajectory:
     or ``p`` and ``q``, again.  Blow-ups raise with the failing ``step N``.
     """
     nodes = mesh.nodes
-    slack = domain_slack(problem)
+    slack = abscissa_slack(problem.x0, problem.domain_end)
     if abs(nodes.item(0) - problem.x0) > slack or abs(nodes.item(-1) - problem.domain_end) > slack:
         raise ValueError(
             f"mesh spans [{nodes[0]}, {nodes[-1]}] but problem domain is "

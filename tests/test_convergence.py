@@ -549,6 +549,40 @@ class TestGauss2ErrorLevel:
         assert rounding <= 1e-5 * error
 
 
+class TestUniformConvergence:
+    """A Shishkin mesh makes the error bound hold uniformly in epsilon
+    (Roos, Stynes & Tobiska, 2008, section I.2).  For gauss2 with grading
+    order n, r_N = sup_eps max_error / rate(N), over eps = 2^-1..2^-40,
+    2^-60 and 2^-100, stays in a band for N = 2^6..2^10, with rate N^-2
+    for n = 2 and (ln N / N)^4 for n = 4: the uniform rate is min(4, n).
+    Measured: n = 2, r_N = 1.0000-1.0001 on decay and 1.0001-1.0043 on
+    layer1, the sup at eps = 2^-60 or 2^-100; n = 4, 2.0925-2.1250 on
+    decay (the sup at 2^-6) and 0.9434-0.9486 on layer1.  The explicit
+    schemes are uniform only where they are stable, so they need a
+    per-run ``stable`` flag before a test can cover them."""
+
+    EPSILONS = [2.0**-e for e in (*range(1, 41), 60, 100)]
+
+    @pytest.mark.parametrize(
+        "name, n, band",
+        [("decay", 2, (0.99, 1.01)), ("layer1", 2, (0.99, 1.01)),
+         ("decay", 4, (2.0, 2.2)), ("layer1", 4, (0.9, 1.0))],
+    )
+    def test_gauss2_sup_over_eps_follows_the_uniform_rate(self, name, n, band):
+        ratios = []
+        for k in range(6, 11):
+            N = 2**k
+            rate = N**-2.0 if n == 2 else (math.log(N) / N) ** 4
+            sup = 0.0
+            for eps in self.EPSILONS:
+                problem = make_builtin(name, eps)
+                mesh = build_shishkin_mesh(ShishkinParams(N, eps, method_order=n))
+                sup = max(sup, max_error(integrate("gauss2", problem, mesh), problem))
+            ratios.append(sup / rate)
+        assert all(band[0] <= r <= band[1] for r in ratios), ratios
+        assert max(ratios) / min(ratios) <= 1.05, ratios
+
+
 class TestOscillationCount:
     def test_monotone_is_zero(self):
         trajectory, _ = trajectory_from_values([0.0, 0.1, 0.3, 0.6, 1.0])

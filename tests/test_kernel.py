@@ -47,8 +47,8 @@ from shishkin_ivp import (
     run_sweep,
 )
 from shishkin_ivp import convergence, steppers
-from shishkin_ivp.mesh import inconsistent_widths, width_tolerance
-from shishkin_ivp.problems import _unchecked, array_eval, domain_bounds
+from shishkin_ivp.mesh import inconsistent_widths
+from shishkin_ivp.problems import _unchecked, abscissa_slack, array_eval
 from shishkin_ivp.steppers import KERNEL_BLOCK, KERNEL_MIN_INTERVALS, scan_width
 from shishkin_ivp.tableaux import EXPLICIT_SCHEMES
 
@@ -242,7 +242,7 @@ def test_property_small_meshes_are_the_oracle(scheme, name, kind, log2_eps, n):
 @given(data=st.data(), scheme=st.sampled_from(SCHEME_NAMES), n=st.integers(1, 40))
 def test_property_mesh_rejects_exactly_the_inconsistent_widths(data, scheme, n):
     """Random nodes on [0, 1], each width its node difference except at up
-    to three intervals, moved by 0.5 to 2 times width_tolerance either way:
+    to three intervals, moved by 0.5 to 2 times abscissa_slack either way:
     Mesh(...) raises exactly when inconsistent_widths flags an index, and
     names the first.  Every mesh it accepts integrates as the per-step
     oracle does on the same widths, bit for bit, or raises its exact error
@@ -253,7 +253,7 @@ def test_property_mesh_rejects_exactly_the_inconsistent_widths(data, scheme, n):
     widths = np.diff(nodes)
     for i in data.draw(st.sets(st.integers(0, n - 1), max_size=3)):
         sign = data.draw(st.sampled_from([-1.0, 1.0]))
-        widths[i] += sign * data.draw(st.floats(0.5, 2.0)) * width_tolerance(nodes)
+        widths[i] += sign * data.draw(st.floats(0.5, 2.0)) * abscissa_slack(nodes[0], nodes[-1])
     flagged = inconsistent_widths(nodes, widths)
     if flagged:
         with pytest.raises(ValueError, match=f"^mesh width .* at index {flagged[0]}$"):
@@ -719,7 +719,7 @@ class TestCoefficientLayer:
         passes, its stage abscissae are x + c_j*h bit for bit."""
         c = named_tableau(scheme).c
         problem = make_builtin("decay", 1.0)
-        lo, hi = steppers.domain_bounds(problem)
+        lo, hi = problem._bounds
         rng = np.random.default_rng(11)
         for trial in range(40):
             x, h = rng.uniform(0.0, 0.5, 64), rng.uniform(0.0, 0.5, 64)
@@ -1426,7 +1426,7 @@ def trusted_calls(problem, mesh, oracle_calls, arrays):
     may make, the oracle's four per hand-off interval."""
     nodes, widths = mesh.nodes[:-1], mesh.widths
     stage_x = nodes + np.outer(named_tableau("gauss2").c, widths)
-    lo_x, hi_x = domain_bounds(problem)
+    lo_x, hi_x = problem._bounds
     checked = (widths > 0.0) & (lo_x <= nodes) & (nodes + widths <= hi_x)
     handed, block = [], steppers.KERNEL_BLOCK  # small_blocks may have set it
     for lo in range(0, len(widths), block):

@@ -26,9 +26,8 @@ from shishkin_ivp import (
 from shishkin_ivp.problems import (
     BUILTIN_NAMES,
     DOMAIN_TOL,
+    abscissa_slack,
     array_eval,
-    domain_bounds,
-    domain_slack,
 )
 from shishkin_ivp.steppers import KERNEL_MIN_INTERVALS
 
@@ -564,15 +563,15 @@ class TestExactEval:
 class TestDomainBounds:
     def test_unit_interval_is_unchanged(self):
         """On [0, 1] the slack is DOMAIN_TOL itself, bit for bit."""
-        assert domain_bounds(make_builtin("decay", 1.0)) == (-DOMAIN_TOL, 1.0 + DOMAIN_TOL)
+        assert make_builtin("decay", 1.0)._bounds == (-DOMAIN_TOL, 1.0 + DOMAIN_TOL)
 
     @pytest.mark.parametrize(
         "x0, end, slack", [(0.0, 1e6, 1e-6), (-4e3, 2.0, 4e-9), (0.25, 0.5, DOMAIN_TOL)]
     )
     def test_slack_scales_with_the_domain(self, x0, end, slack):
         problem = Problem(epsilon=1.0, x0=x0, y0=1.0, rhs=lambda x, y: -y, domain_end=end)
-        assert domain_slack(problem) == slack
-        assert domain_bounds(problem) == (x0 - slack, end + slack)
+        assert abscissa_slack(x0, end) == slack
+        assert problem._bounds == (x0 - slack, end + slack)
 
     @pytest.mark.parametrize("n", [7, 11])
     def test_builder_meshes_on_a_long_domain_integrate(self, n):
