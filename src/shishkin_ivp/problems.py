@@ -119,7 +119,9 @@ def abscissa_slack(a: float, b: float) -> float:
 
 
 def _check_domain(problem: Problem, x: float, h: float | None = None):
-    """The domain rule: the point x, or the step [x, x + h], in ``problem._bounds``."""
+    """The domain rule: the point x, or the step [x, x + h] with h > 0, in ``problem._bounds``."""
+    if h is not None and not h > 0.0:  # nan fails
+        raise ValueError(f"step size must be positive, got {h}")
     lo, hi = problem._bounds
     if lo <= x and (x if h is None else x + h) <= hi:  # nan fails
         return

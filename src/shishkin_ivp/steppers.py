@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -80,33 +81,28 @@ class Trajectory:
 def explicit_rk_step(
     tableau: ButcherTableau, problem: Problem, x_i: float, y_i: float, h_i: float
 ) -> float:
-    """One explicit step: k_j = f(x + c_j h, y + h * sum_{q<j} a_jq k_q),
-    then y + h * sum_j b_j k_j.  Stages are evaluated in ascending order;
-    a non-finite stage slope or result raises StageEvaluationError."""
+    """One explicit step with h > 0: k_j = f(x + c_j h, y + h * sum_{q<j}
+    a_jq k_q), then y + h * sum_j b_j k_j, each sum added left to right
+    from its first term (Hairer, Norsett & Wanner, Solving ODEs I, sec.
+    II.1), so stage 1 sees y itself.  Stages are evaluated in ascending
+    order; a non-finite stage slope or result raises StageEvaluationError."""
     if not tableau.explicit:
         raise ValueError(
             f"tableau {tableau.name or '<anonymous>'!r} is implicit; "
             "the generic driver handles explicit schemes only"
         )
-    if not h_i > 0.0:
-        raise ValueError(f"step size must be positive, got {h_i}")
     _check_domain(problem, x_i, h_i)
     a, b, c = tableau._lists
-    k = [0.0] * tableau.stages
+    k = []
     for j in range(tableau.stages):
-        acc = 0.0
-        for q in range(j):
-            acc += a[j][q] * k[q]
+        y_j = y_i + h_i * reduce(add, map(mul, a[j], k)) if j else y_i
         try:
-            k[j] = rhs_eval(problem, x_i + c[j] * h_i, y_i + h_i * acc)
+            k.append(rhs_eval(problem, x_i + c[j] * h_i, y_j))
         except EvaluationError as exc:
             raise StageEvaluationError(
                 f"stage {j + 1} of {tableau.stages} failed at x={x_i!r}: {exc}"
             ) from exc
-    update = 0.0
-    for j in range(tableau.stages):
-        update += b[j] * k[j]
-    result = y_i + h_i * update
+    result = y_i + h_i * reduce(add, map(mul, b, k))
     if not math.isfinite(result):
         raise StageEvaluationError(
             f"non-finite step result at x={x_i!r}, h={h_i!r}"
@@ -127,7 +123,8 @@ def _gauss2_determinant(p1, p2, h):
 def gauss2_linear_step(
     problem: Problem, x_i: float, y_i: float, h_i: float
 ) -> float:
-    """One two-stage Gauss step for y' = p(x)*y + q(x), in closed form.
+    """One two-stage Gauss step for y' = p(x)*y + q(x), in closed form,
+    with h > 0 (explicit_rk_step's rule and message).
 
     With p1, p2, q1, q2 the coefficients at the stage abscissae
     x + (1/2 -+ gamma)h, the update is
@@ -144,8 +141,6 @@ def gauss2_linear_step(
                 f"problem {problem.label!r} has no linear form; the closed-form "
                 "Gauss step requires y' = p(x)*y + q(x)"
             )
-        if h_i < 0.0:
-            raise ValueError(f"step size must be nonnegative, got {h_i}")
         _check_domain(problem, x_i, h_i)
         g = GAUSS2_GAMMA
         p1, q1 = linear_coeffs_eval(problem, x_i + (0.5 - g) * h_i)
@@ -171,9 +166,9 @@ def _step_checks(problem: Problem, c, x, h):
     """The stage abscissae of a block of intervals, one (s, n) array whose
     row j is x + c_j*h, and the index of the first interval that fails the
     one rule for every tableau, or None: h > 0, and x, x + h and every
-    stage abscissa inside the domain (the checks of the step functions and
-    rhs_eval, with h = 0 left to gauss2_linear_step).  It relies on
-    0 <= c_j <= 1, true of every named tableau (README.md).  A nan fails."""
+    stage abscissa inside the domain (the checks of both step functions
+    and rhs_eval).  It relies on 0 <= c_j <= 1, true of every named
+    tableau (README.md).  A nan fails."""
     lo, hi = problem._bounds
     stage_x = np.empty((len(c), len(x)))
     end = None
@@ -340,11 +335,10 @@ def _affine_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
 
 
 # The straight-line steps: the step functions' arithmetic for checked steps,
-# the explicit sums from their first term, not from +0.0 (README).  Each runs
-# the rows of _rows, appends every result to ``out``, and returns before a
-# step it cannot take: a non-finite result (explicit: whenever a stage slope
-# is), y = -0.0 (explicit: the one y the +0.0 can change) or a singular or
-# infinite Gauss determinant.  A raising row or callback propagates.
+# operation for operation, every sum from its first term.  Each runs the rows
+# of _rows, appends every result to ``out``, and returns before a step it
+# cannot take: a non-finite result (explicit: whenever a stage slope is) or a
+# singular or infinite Gauss determinant.  A raising row or callback propagates.
 
 
 def _two_stage_steps(f, a, b, y, rows, out):
@@ -352,8 +346,6 @@ def _two_stage_steps(f, a, b, y, rows, out):
     b1, b2 = b
     isfinite = math.isfinite
     for h, x1, x2 in rows:
-        if not y and math.copysign(1.0, y) < 0.0:
-            return
         k1 = f(x1, y)
         k2 = f(x2, y + h * (a21 * k1))
         y = y + h * (b1 * k1 + b2 * k2)
@@ -368,8 +360,6 @@ def _three_stage_steps(f, a, b, y, rows, out):
     b1, b2, b3 = b
     isfinite = math.isfinite
     for h, x1, x2, x3 in rows:
-        if not y and math.copysign(1.0, y) < 0.0:
-            return
         k1 = f(x1, y)
         k2 = f(x2, y + h * (a21 * k1))
         k3 = f(x3, y + h * (a31 * k1 + a32 * k2))
@@ -419,9 +409,9 @@ def _scalar_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
     per block, up to its first interval that fails _step_checks, steps run
     straight-line from one row iterator.  The loop returns before a step it
     cannot take, or raises in it; here, the one place that catches, that step
-    goes to the step function, and the loop resumes after it (a failed interval
-    raises there, or, at h = 0 for gauss2, leaves the rest of its block to
-    the step function).  The named explicit tableaux have 2 or 3 stages."""
+    and the rest of its block go to the step function, one call per interval.
+    With deterministic callbacks that first call raises, as at a failed
+    interval.  The named explicit tableaux have 2 or 3 stages."""
     a, b, c = tableau._lists
     if tableau.explicit:
         steps = _two_stage_steps if tableau.stages == 2 else _three_stage_steps
@@ -439,14 +429,12 @@ def _scalar_integrate(tableau: ButcherTableau, problem: Problem, mesh: Mesh):
             stop = hi if failed is None else lo + failed
             rows = _rows(tableau, problem, widths[lo:stop], stage_x)
             block = []
-            while True:
-                try:
-                    steps(y, rows, block)
-                except Exception:  # the step function redoes the step
-                    pass
-                y = block[-1] if block else y
-                if (i := lo + len(block)) == hi:
-                    break
+            try:
+                steps(y, rows, block)
+            except Exception:  # the step function redoes the step
+                pass
+            y = block[-1] if block else y
+            for i in range(lo + len(block), hi):
                 try:
                     y = step(problem, float(nodes[i]), y, float(widths[i]))
                 except (StageEvaluationError, SingularStepError) as exc:

@@ -1491,6 +1491,24 @@ def linear(p, q, y0=1.0):
     return Problem(epsilon=1.0, x0=0.0, y0=y0, rhs=rhs, linear=form, label="linear")
 
 
+def with_zero_width(at):
+    """A uniform mesh of TEST_BLOCK + 8 intervals with a zero-width
+    interval inserted at index ``at``."""
+    base = build_uniform_mesh(TEST_BLOCK + 8)
+    nodes = np.insert(base.nodes, at, base.nodes[at])
+    widths = np.insert(base.widths, at, 0.0)
+    return Mesh(nodes=nodes, widths=widths, kind="hand-built")
+
+
+def handed_over(scheme, problem, mesh):
+    """integrate's values, and how many steps its scalar driver handed to
+    a step function (explicit_rk_step or gauss2_linear_step)."""
+    with mock.patch.object(steppers, "explicit_rk_step", wraps=explicit_rk_step) as explicit:
+        with mock.patch.object(steppers, "gauss2_linear_step", wraps=gauss2_linear_step) as gauss:
+            values = integrate(scheme, problem, mesh).values
+    return values, explicit.call_count + gauss.call_count
+
+
 #: Starts at the edges of the doubles: signed zeros, subnormals and
 #: magnitudes a few steps from overflow.
 SIGNED_STARTS = (0.0, -0.0, 5e-324, -5e-324, 1e-320, -1e-320, 1e308, -1e308)
@@ -1557,8 +1575,7 @@ class TestScalarDriver:
     def test_signed_zeros_subnormals_and_overflow(self, scheme):
         """Every start in SIGNED_STARTS against every rhs in EDGE_RHS, on
         meshes of 8 and 100 intervals: the same values, rhs arguments
-        (sign bits included) and errors as the oracle, whose sums start at
-        +0.0 where the straight-line steps start at their first term."""
+        (sign bits included) and errors as the oracle."""
         outcomes = []
         for y0 in SIGNED_STARTS:
             for rhs in EDGE_RHS.values():
@@ -1566,24 +1583,97 @@ class TestScalarDriver:
                     outcomes.append(check_bit_identical(scheme, custom(rhs, y0), build_uniform_mesh(n)))
         assert 0 < outcomes.count("raised") < len(outcomes) / 2
 
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    def test_finished_runs_hand_nothing_over(self, scheme):
+        """A run that finishes calls no step function: from every start in
+        SIGNED_STARTS with every rhs in EDGE_RHS (only runs from +-1e308
+        may overflow), and, for gauss2, from y0 = -0.0 with p = 0 or -1 and
+        q = -0.0.  The first rhs argument is y0 itself, sign bit included."""
+        meshes = build_uniform_mesh(8), build_uniform_mesh(100)
+        if scheme == "gauss2":
+            for p_value in 0.0, -1.0:
+                problem = linear(scalar_only(lambda x: p_value), scalar_only(lambda x: -0.0), y0=-0.0)
+                for mesh in meshes:
+                    assert handed_over(scheme, problem, mesh)[1] == 0
+            return
+        unfinished = set()
+        for name, rhs in EDGE_RHS.items():
+            for y0 in SIGNED_STARTS:
+                args = []
+                problem = custom(lambda x, y: args.append(y) or rhs(x, y), y0)
+                for mesh in meshes:
+                    args.clear()
+                    try:
+                        assert handed_over(scheme, problem, mesh)[1] == 0
+                    except StageEvaluationError:
+                        unfinished.add(y0)
+                    assert math.copysign(1.0, args[0]) == math.copysign(1.0, y0)
+        assert unfinished == {1e308, -1e308}
+
+    @pytest.mark.usefixtures("small_blocks")
+    @pytest.mark.parametrize("scheme", ["heun", "rk3_a", "gauss2"])
+    def test_a_step_handed_over_that_returns(self, scheme):
+        """A callback that raises OverflowError once, at the first abscissa
+        inside step i of the second block, and then behaves: rhs for the
+        explicit schemes, an untrusted scalar-only p for gauss2.  The
+        straight-line steps stop there, the step function redoes step i and
+        takes the rest of the block, and the values are, byte for byte,
+        those of the same run with a callback that never raises."""
+        mesh = build_uniform_mesh(TEST_BLOCK + 16)
+        i = TEST_BLOCK + 5
+        x_i, x_end = float(mesh.nodes[i]), float(mesh.nodes[i] + mesh.widths[i])
+        raised = []
+
+        def once(fn):
+            def callback(x, *y):
+                if x_i < x <= x_end and not raised:
+                    raised.append(x)
+                    raise OverflowError("math range error")
+                return fn(x, *y)
+
+            return callback
+
+        def make(wrap):
+            if scheme != "gauss2":
+                return custom(wrap(lambda x, y: x - y))
+            p = scalar_only(wrap(lambda x: -1.0 - x))
+            return Problem(epsilon=1.0, x0=0.0, y0=1.0, rhs=lambda x, y: (-1.0 - x) * y + x,
+                           linear=(p, scalar_only(lambda x: x)), label="untrusted")
+
+        expected, calls = handed_over(scheme, make(lambda fn: fn), mesh)
+        assert calls == 0
+        got, calls = handed_over(scheme, make(once), mesh)
+        assert len(raised) == 1
+        assert calls == len(mesh.widths) - i
+        assert got.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("scheme", ["heun", "rk3_kutta"])
     def test_negative_zero_start_and_an_underflowing_sum(self, scheme):
-        """From y = -0.0 with rhs = -5e-324, the oracle passes a stage -0.0
-        (a nonzero a_jk*k sum whose product with h underflows); the driver
-        hands that step to explicit_rk_step and matches it."""
+        """From y = -0.0 with rhs = -5e-324, each later stage's a_jq*k_q
+        sum is nonzero but its product with h underflows to -0.0: the step
+        passes the first-term formulas' stage arguments, y itself and then
+        -0.0 + -0.0, one -0.0 stage after the first for heun and two for
+        rk3_kutta.  The driver matches them without a hand-off."""
         calls = []
         problem = custom(lambda x, y: calls.append(y) or -5e-324, y0=-0.0)
         tableau = named_tableau(scheme)
         explicit_rk_step(tableau, problem, 0.0, -0.0, 0.125)
-        assert [math.copysign(1.0, y) for y in calls[1:]].count(-1.0) == 1
+        first_term = [-0.0]
+        for j, a_j in enumerate(tableau.a.tolist()[1:], 1):
+            acc = a_j[0] * -5e-324
+            for a_jq in a_j[1:j]:
+                acc += a_jq * -5e-324
+            first_term.append(-0.0 + 0.125 * acc)
+        assert np.array(calls).tobytes() == np.array(first_term).tobytes()
+        assert [math.copysign(1.0, y) for y in calls[1:]].count(-1.0) == {"heun": 1, "rk3_kutta": 2}[scheme]
         assert check_bit_identical(scheme, problem, build_uniform_mesh(8)) == "identical"
+        assert handed_over(scheme, problem, build_uniform_mesh(8))[1] == 0
 
     @pytest.mark.usefixtures("small_blocks")
     @pytest.mark.parametrize("scheme", EXPLICIT_SCHEMES)
     def test_negative_zero_run_across_a_block_boundary(self, scheme):
         """rhs = -1e-320 from y = -0.0: h*update underflows to -0.0 at every
-        step, so y stays -0.0 and every step is handed over, in both
-        blocks."""
+        step, so y stays -0.0 across the block boundary."""
         problem = custom(lambda x, y: -1e-320, y0=-0.0)
         mesh = build_uniform_mesh(TEST_BLOCK + 8)
         assert check_bit_identical(scheme, problem, mesh) == "identical"
@@ -1592,9 +1682,10 @@ class TestScalarDriver:
 
     @pytest.mark.parametrize("scheme", EXPLICIT_SCHEMES)
     def test_negative_zero_keeps_its_sign(self, scheme):
-        """From y0 = -0.0 the oracle's sums, which start at +0.0, turn
-        every stage value and result into +0.0; a stage slope of -0.0
-        must not leak a -0.0 through."""
+        """From y0 = -0.0, rhs = -0.0*y - 0.0 gives k_1 = +0.0, so the
+        weight sum, from its first term b_1*k_1 = +0.0, is +0.0 and every
+        result +0.0, as in the oracle: a later stage slope of -0.0 must
+        not leak a -0.0 through."""
         problem = custom(lambda x, y: -0.0 * y - 0.0, y0=-0.0)
         assert check_bit_identical(scheme, problem, build_uniform_mesh(8)) == "identical"
         values = integrate(scheme, problem, build_uniform_mesh(8)).values
@@ -1681,17 +1772,16 @@ class TestScalarDriver:
     @pytest.mark.usefixtures("small_blocks")
     @pytest.mark.parametrize("zero_at", [20, 100, TEST_BLOCK + 3])
     def test_gauss2_zero_width_interval(self, zero_at):
-        """gauss2_linear_step accepts h = 0, which fails the block checks:
-        it takes that interval and the rest of its block, and a later
-        block runs straight-line again."""
-        base = build_uniform_mesh(TEST_BLOCK + 8)
-        nodes = np.insert(base.nodes, zero_at, base.nodes[zero_at])
-        widths = np.insert(base.widths, zero_at, 0.0)
-        mesh = Mesh(nodes=nodes, widths=widths, kind="hand-built")
+        """h = 0 fails the block checks, and the step function that takes
+        that interval rejects it, for gauss2 as for the explicit schemes:
+        the run raises the step size's ValueError."""
+        mesh = with_zero_width(zero_at)
         problem = scalar_only_builtin("layer1", 2.0**-4)
-        assert check_bit_identical("gauss2", problem, mesh) == "identical"
-        values = integrate("gauss2", problem, mesh).values
-        assert values[zero_at + 1] == values[zero_at]
+        for scheme in "gauss2", "heun":
+            assert check_bit_identical(scheme, problem, mesh) == "raised"
+            with pytest.raises(ValueError) as raised:
+                integrate(scheme, problem, mesh)
+            assert str(raised.value) == "step size must be positive, got 0.0"
 
     @pytest.mark.usefixtures("small_blocks")
     @pytest.mark.parametrize("n", [40, TEST_BLOCK + 16])
@@ -1777,14 +1867,34 @@ class TestScalarDriver:
     @pytest.mark.parametrize("zero_at", [20, TEST_BLOCK + 3])
     def test_gauss2_trusted_builtin_with_a_zero_width_interval(self, zero_at):
         """make_builtin's trusted pair on a mesh with h = 0 at one interval:
-        p and q are called on arrays up to that interval, the step function
-        takes it and the rest of its block on floats, and the other block
-        runs from arrays again."""
-        base = build_uniform_mesh(TEST_BLOCK + 8)
-        nodes = np.insert(base.nodes, zero_at, base.nodes[zero_at])
-        widths = np.insert(base.widths, zero_at, 0.0)
-        mesh = Mesh(nodes=nodes, widths=widths, kind="hand-built")
-        assert check_bit_identical("gauss2", make_builtin("layer1", 2.0**-4), mesh) == "identical"
+        the run raises there, as the oracle does, and the scalar driver's
+        p and q array calls, one each per block over its stage abscissae
+        up to that interval, stop at that block."""
+        mesh = with_zero_width(zero_at)
+        builtin = make_builtin("layer1", 2.0**-4)
+        assert check_bit_identical("gauss2", builtin, mesh) == "raised"
+        arrays = []
+
+        def logged(tag, fn):
+            def coefficient(x):
+                if isinstance(x, np.ndarray):
+                    arrays.append((tag, x.tobytes()))
+                return fn(x)
+
+            return coefficient
+
+        def rhs(x, y):
+            return builtin.rhs(x, y)
+
+        rhs._linear_form = form = (logged("p", builtin.linear[0]), logged("q", builtin.linear[1]))
+        problem = dataclasses.replace(builtin, rhs=rhs, linear=form)
+        with mock.patch.object(steppers, "_affine_integrate", return_value=None):
+            with pytest.raises(ValueError, match="^step size must be positive, got 0.0$"):
+                integrate("gauss2", problem, mesh)
+        stage_x = mesh.nodes[:-1] + np.outer(named_tableau("gauss2").c, mesh.widths)
+        stops = [(0, min(zero_at, TEST_BLOCK))] + [(TEST_BLOCK, zero_at)] * (zero_at > TEST_BLOCK)
+        expected = [(tag, stage_x[:, lo:stop].reshape(-1).tobytes()) for lo, stop in stops for tag in "pq"]
+        assert arrays == expected
 
     @pytest.mark.usefixtures("small_blocks")
     @pytest.mark.parametrize("failure", [None, "nan q", "raising p"])

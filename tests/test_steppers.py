@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -166,14 +167,21 @@ class TestGauss2Step:
             2.1, rel=1e-15
         )
 
-    def test_zero_step_is_identity(self):
+    def test_zero_step_rejected(self):
+        """h = 0 is rejected with explicit_rk_step's ValueError."""
         problem = make_builtin("decay", 0.25)
-        assert gauss2_linear_step(problem, 0.3, 0.7, 0.0) == 0.7
+        for step in gauss2_linear_step, partial(explicit_rk_step, named_tableau("heun")):
+            with pytest.raises(ValueError) as raised:
+                step(problem, 0.3, 0.7, 0.0)
+            assert str(raised.value) == "step size must be positive, got 0.0"
 
     def test_negative_step_rejected(self):
+        """A negative or nan h fails the same rule, with the same message."""
         problem = make_builtin("decay", 0.25)
-        with pytest.raises(ValueError, match="step size must be nonnegative, got -0.1"):
-            gauss2_linear_step(problem, 0.3, 0.7, -0.1)
+        for h in -0.1, math.nan:
+            with pytest.raises(ValueError) as raised:
+                gauss2_linear_step(problem, 0.3, 0.7, h)
+            assert str(raised.value) == f"step size must be positive, got {h}"
 
     @pytest.mark.parametrize(
         "x, h",
